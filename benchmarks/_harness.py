@@ -10,9 +10,21 @@ representative kernel of each experiment.
 
 from __future__ import annotations
 
+import importlib.util
 import pathlib
 
 OUT_DIR = pathlib.Path(__file__).parent / "out"
+REPO = pathlib.Path(__file__).resolve().parent.parent
+
+
+def reference_simulate():
+    """The frozen ideal-model event loop (``tests/sim_reference.py``):
+    the baseline the ideal-path overhead budgets are measured against."""
+    path = REPO / "tests" / "sim_reference.py"
+    spec = importlib.util.spec_from_file_location("sim_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.simulate_reference
 
 
 def write_report(experiment: str, text: str) -> None:

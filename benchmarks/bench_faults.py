@@ -6,9 +6,9 @@ public ``simulate()`` now dispatches to a fault-tolerant engine when a
 fault path costs nothing when unused and stays deterministic when
 used.  It times the simulation of a ``B_7`` butterfly three ways —
 
-* **kernel** — the ideal-model event loop called directly
-  (``repro.sim.server._simulate_ideal``), i.e. exactly what
-  ``simulate()`` ran before PR 4;
+* **kernel** — the frozen ideal-model event loop
+  (``tests/sim_reference.py``), i.e. exactly what ``simulate()`` ran
+  before PR 4;
 * **disabled** — the public ``simulate()`` with faults left off
   (default arguments), measuring the dispatch overhead.  Gated
   **under 5%** by ``tools/check_bench_regression.py`` — the
@@ -46,9 +46,8 @@ from repro.obs import (
 )
 from repro.sim import FAULT_SCENARIOS, FaultPlan, ServerPolicy, simulate
 from repro.sim.heuristics import make_policy
-from repro.sim.server import _simulate_ideal
 
-from _harness import OUT_DIR, write_report
+from _harness import OUT_DIR, reference_simulate, write_report
 
 FRESH_RECORD = OUT_DIR / "BENCH_faults.json"
 
@@ -79,6 +78,7 @@ def _best_of(repeats: int, fn):
 
 def collect_record() -> dict:
     dag = butterfly_dag(DIM)
+    simulate_reference = reference_simulate()
 
     # isolate this workload's metrics; tracing stays off throughout
     # (the fault path must be cheap in the default configuration).
@@ -87,7 +87,7 @@ def collect_record() -> dict:
     try:
         t_kernel, r_kernel = _best_of(
             REPEATS,
-            lambda: _simulate_ideal(
+            lambda: simulate_reference(
                 dag, make_policy("CRITPATH"), clients=CLIENTS, seed=SEED
             ),
         )

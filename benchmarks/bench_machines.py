@@ -5,8 +5,8 @@ item 3: *when does IC-optimality still win once communication and
 memory are not free?*  This bench guards both halves of that feature:
 
 * **overhead** — the ``machine=`` dispatch must cost nothing when the
-  machine is ideal.  The ideal-model kernel
-  (``repro.sim.server._simulate_ideal``) is timed against the public
+  machine is ideal.  The frozen ideal-model event loop
+  (``tests/sim_reference.py``) is timed against the public
   ``simulate(..., machine="ideal")`` and the two results are asserted
   byte-identical before any number is recorded; the relative overhead
   is gated **under 5%** by ``tools/check_bench_regression.py``
@@ -42,9 +42,8 @@ from repro.obs import (
     set_global_tracer,
 )
 from repro.sim import compare_policies, make_policy, simulate
-from repro.sim.server import _simulate_ideal
 
-from _harness import OUT_DIR, write_report
+from _harness import OUT_DIR, reference_simulate, write_report
 
 FRESH_RECORD = OUT_DIR / "BENCH_machines.json"
 
@@ -89,13 +88,14 @@ def _best_of(repeats: int, fn):
 
 def collect_record() -> dict:
     dag = butterfly_dag(DIM)
+    simulate_reference = reference_simulate()
 
     old_reg = set_global_registry(MetricsRegistry())
     old_tracer = set_global_tracer(Tracer())
     try:
         t_kernel, r_kernel = _best_of(
             REPEATS,
-            lambda: _simulate_ideal(
+            lambda: simulate_reference(
                 dag, make_policy("CRITPATH"), clients=CLIENTS, seed=SEED
             ),
         )

@@ -24,12 +24,13 @@ is recorded alongside so a regression can be localized.
 PR 7 added schedule-frame capture (:mod:`repro.obs.observatory`) to
 the simulator under the same contract, and this bench gates it the
 same way: a **frames** scenario times the simulation event loop three
-ways — ``reference`` (``_simulate_ideal(..., _frames=False)``: no
-frame-store lookup at all), ``disabled`` (the default public path:
-one store lookup + enabled check per run — the store is resolved
-once, so per-event cost in both paths is the same pointer compare),
-and ``enabled`` (a live :class:`~repro.obs.observatory.FrameStore`
-recording every step, informational).  ``frames.disabled_pct`` is
+ways — ``reference`` (the frozen ideal-model loop of
+``tests/sim_reference.py``, which has no frame path at all),
+``disabled`` (the public ``simulate()``: one store lookup + enabled
+check per run — the store is resolved once, so each step pays one
+pointer compare), and ``enabled`` (a live
+:class:`~repro.obs.observatory.FrameStore` recording every step,
+informational).  ``frames.disabled_pct`` is
 gated under the same 5% budget.
 
 All three paths are asserted to produce byte-identical profiles before
@@ -62,7 +63,7 @@ from repro.sim import simulate
 from repro.sim.heuristics import make_policy
 from repro.core import schedule_dag
 
-from _harness import OUT_DIR, write_report
+from _harness import OUT_DIR, reference_simulate, write_report
 
 FRESH_RECORD = OUT_DIR / "BENCH_observability.json"
 
@@ -81,9 +82,9 @@ DISABLED_OVERHEAD_LIMIT_PCT = 5.0
 #: — where the frame gating lives — dominates.
 FRAMES_DIM = 5
 FRAMES_CLIENTS = 8
-#: best-of over many repeats: the per-run delta under test (one store
-#: lookup + enabled check) is ~100 ns on a ~2 ms run, so the gate is
-#: really measuring scheduler noise — drive it down with samples.
+#: best-of over many repeats: the gate compares two event loops of
+#: equal work on a ~2 ms run, so it is really measuring scheduler
+#: noise — drive it down with samples.
 REPEATS_FRAMES = 50
 
 
@@ -208,28 +209,27 @@ def collect_record() -> dict:
         assert scrape_n > 0, "scraper never completed a request"
 
         # frame-capture scenario: the simulation event loop with the
-        # frame path (a) compiled out (_frames=False reference),
+        # frame path (a) absent (the frozen reference loop),
         # (b) present but disabled (the default), (c) recording.
         from repro.obs.observatory import (
             FrameStore,
             global_frame_store,
             set_global_frame_store,
         )
-        from repro.sim.server import _simulate_ideal
-
+        simulate_reference = reference_simulate()
         frames_dag = butterfly_dag(FRAMES_DIM)
         old_store = set_global_frame_store(FrameStore())
         try:
             t_fr_ref, r_ref = _best_of(
                 REPEATS_FRAMES,
-                lambda: _simulate_ideal(
+                lambda: simulate_reference(
                     frames_dag, make_policy("FIFO"),
-                    clients=FRAMES_CLIENTS, _frames=False,
+                    clients=FRAMES_CLIENTS,
                 ),
             )
             t_fr_disabled, r_dis = _best_of(
                 REPEATS_FRAMES,
-                lambda: _simulate_ideal(
+                lambda: simulate(
                     frames_dag, make_policy("FIFO"),
                     clients=FRAMES_CLIENTS,
                 ),
@@ -238,7 +238,7 @@ def collect_record() -> dict:
             store.enable()
             t_fr_enabled, r_en = _best_of(
                 REPEATS_FRAMES,
-                lambda: _simulate_ideal(
+                lambda: simulate(
                     frames_dag, make_policy("FIFO"),
                     clients=FRAMES_CLIENTS,
                 ),

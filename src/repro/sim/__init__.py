@@ -34,8 +34,6 @@ from .server import (
     SimulationResult,
     TraceRecord,
     simulate,
-    simulate_batched,
-    simulate_scheduled,
 )
 
 __all__ = [
@@ -70,8 +68,6 @@ __all__ = [
     "scientific",
     "server",
     "simulate",
-    "simulate_batched",
-    "simulate_scheduled",
     "simulate_with_faults",
     "workloads",
 ]

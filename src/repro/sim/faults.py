@@ -41,19 +41,16 @@ tracing is on.  See ``docs/ROBUSTNESS.md``.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import random
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from math import isfinite
 
 from ..core.dag import ComputationDag, Node
-from ..exceptions import FaultPlanError, ServerPolicyError, SimulationError
-from ..obs import global_registry, global_tracer, span
+from ..exceptions import FaultPlanError, ServerPolicyError
 from ..obs.context import current_request_id
 from .heuristics import Policy
-from .server import ClientSpec, SimulationResult, TraceRecord, _record_quality
+from .server import ClientSpec, SimulationResult, TraceRecord, _Kernel
 
 __all__ = [
     "FaultEvent",
@@ -187,47 +184,6 @@ class FaultPlan:
         from ..api.specs import fault_plan_str
 
         return fault_plan_str(self)
-
-
-def _deprecated_parser(name: str, impl):
-    """A shim for the grammar helpers that moved to
-    :mod:`repro.api.specs`: same behavior, plus a
-    ``DeprecationWarning`` pointing at the shared parser."""
-
-    def shim(*args, **kwargs):
-        import warnings
-
-        warnings.warn(
-            f"repro.sim.faults.{name} moved to repro.api.specs as part "
-            "of the unified spec grammar; import it from there",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return impl(*args, **kwargs)
-
-    shim.__name__ = name
-    shim.__doc__ = impl.__doc__
-    return shim
-
-
-def _specs_module():
-    from ..api import specs
-
-    return specs
-
-
-_parse_float = _deprecated_parser(
-    "_parse_float", lambda *a, **k: _specs_module()._parse_float(*a, **k)
-)
-_parse_int = _deprecated_parser(
-    "_parse_int", lambda *a, **k: _specs_module()._parse_int(*a, **k)
-)
-_parse_at = _deprecated_parser(
-    "_parse_at", lambda *a, **k: _specs_module()._parse_at(*a, **k)
-)
-_parse_x = _deprecated_parser(
-    "_parse_x", lambda *a, **k: _specs_module()._parse_x(*a, **k)
-)
 
 
 # ----------------------------------------------------------------------
@@ -466,89 +422,35 @@ class FaultReport:
 
 
 # ----------------------------------------------------------------------
-# the fault-tolerant event engine
+# the fault-tolerant server
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class _Attempt:
-    """One allocation of a task to a client (a task may have several
-    concurrent attempts: retries racing written-off stragglers,
-    speculative copies, eager replicas)."""
+class _FaultServer(_Kernel):
+    """The fault-tolerant server on the simulation kernel; see
+    :func:`simulate_with_faults`.
 
-    aid: int
-    task: Node
-    client: int
-    start: float
-    duration: float       # true wall time until the result would arrive
-    nominal: float        # the server's expectation (no slowdown)
-    lost: bool            # result silently never arrives (spec.loss)
-    speculative: bool = False
-    replica: bool = False
-    delay: float = 0.0    # accrued stall delay, applied at finish pop
-    arrived: bool = False
-    written_off: bool = False
-    vanished: bool = False     # client crashed mid-flight
-    vanish_time: float = 0.0
-    traced: bool = False
+    It differs from the ideal server in its hooks only: an attempt's
+    loss is detected by a deadline, failed tasks retry after backoff,
+    stragglers get speculative copies, critical tasks get replicas,
+    flaky clients are quarantined, and the finishing client asks for
+    work before idle clients are served.  Scripted faults are events
+    on the kernel's heap; corruption is a draw on the plan's stream.
+    """
 
-
-class _FaultEngine:
-    """Event-driven simulation with fault injection and a
-    fault-tolerant server; see :func:`simulate_with_faults`."""
-
-    def __init__(
-        self,
-        dag: ComputationDag,
-        policy: Policy,
-        clients: list[ClientSpec],
-        work_fn: Callable[[Node], float],
-        seed: int,
-        comm_per_input: float,
-        record_trace: bool,
-        server_policy: ServerPolicy,
-        fault_plan: FaultPlan,
-        machine=None,
-    ) -> None:
-        self.dag = dag
-        self.policy = policy
-        self.clients = list(clients)
-        self.work_fn = work_fn
-        self.comm_per_input = comm_per_input
-        self.record_trace = record_trace
+    def __init__(self, dag, policy, clients, work, seed, comm_per_input,
+                 record_trace, server_policy: ServerPolicy,
+                 fault_plan: FaultPlan, machine) -> None:
+        super().__init__(dag, policy, clients, work, seed,
+                         comm_per_input, record_trace, machine)
         self.sp = server_policy
         self.plan = fault_plan
-        self.total = len(dag)
-        #: machine model (:mod:`repro.sim.machines`) threading the
-        #: same pricing/placement hooks as the no-fault machine loop;
-        #: ``None`` keeps the pre-machine event sequence byte-exact.
-        self.machine = machine
-        if machine is not None:
-            machine.attach(dag, len(self.clients), work_fn)
-
-        #: client-behaviour stream (dropout/loss draws) — seeded the
-        #: same way the ideal engine seeds its stream.
-        self.rng = random.Random(seed)
         #: fault-plan stream (corruption, backoff jitter) — private,
         #: so chaos never perturbs the client-behaviour draws.
-        self.frng = random.Random(
-            f"repro-faults:{seed}:{fault_plan.seed}")
-
-        self.report = FaultReport(plan=fault_plan.name)
-        self.tracer = global_tracer()
-        reg = global_registry()
-        self.reg = reg
-        self.m_alloc = reg.counter("sim_allocations_total",
-                                   "tasks handed to clients")
-        self.m_done = reg.counter("sim_completions_total",
-                                  "task results received by the server")
-        self.m_lost = reg.counter("sim_losses_total",
-                                  "allocations lost (client vanished)")
-        self.m_starve = reg.counter(
-            "sim_starvation_total",
-            "client requests that found no allocatable task")
-        self.m_steps = reg.counter(
-            "sim_steps_total", "simulation event-loop steps processed")
+        self.frng = random.Random(f"repro-faults:{seed}:{fault_plan.seed}")
+        self.fault_report = FaultReport(plan=fault_plan.name)
+        self.span_attrs["faults"] = fault_plan.name
+        reg = self.reg
         self.m_retries = reg.counter(
             "sim_retries_total",
             "tasks re-queued after a detected failure")
@@ -565,80 +467,32 @@ class _FaultEngine:
         self.g_quar = reg.gauge(
             "sim_quarantined_clients",
             "clients currently quarantined by the simulated server")
-        self.g_allocatable = reg.gauge(
-            "sim_allocatable",
-            "allocatable (eligible, unallocated) tasks at the latest "
-            "simulation step")
-        self.g_eligible = reg.gauge(
-            "sim_eligible",
-            "ELIGIBLE unexecuted tasks (allocatable + in flight) at the "
-            "latest simulation step")
-        self.g_completed = reg.gauge(
-            "sim_completed",
-            "tasks completed at the latest simulation step")
 
-        # -- dag state ------------------------------------------------
-        self.pending_parents = {v: dag.indegree(v) for v in dag.nodes}
-        self.allocatable: list[Node] = [
-            v for v in dag.nodes if self.pending_parents[v] == 0
-        ]
-        self.done: set[Node] = set()
-        #: task -> set of live attempt ids (not arrived / written off /
-        #: vanished) — what the server believes is in flight.
-        self.in_flight: dict[Node, set[int]] = {}
-        self.backing_off: set[Node] = set()
         self.task_failures: dict[Node, int] = {}
         self.want_spec: list[Node] = []
         self.critical: set[Node] = (
             self._critical_set() if server_policy.replicas > 1 else set()
         )
-
-        # -- client state ---------------------------------------------
         n = len(self.clients)
         self.alive: set[int] = set(range(n))
         self.quarantined: set[int] = set()
         self.ever_quarantined: set[int] = set()
         self.parked: set[int] = set()          # quarantined and idle
         self.fail_streak: dict[int, int] = {}
-        self.current: dict[int, int | None] = {c: None for c in range(n)}
         self.stalled_until: dict[int, float] = {}
-        self.idle: list[int] = []
-        self.idle_since: dict[int, float] = {}
         self.service_start: dict[int, float] = {c: 0.0 for c in range(n)}
         self.service_end: dict[int, float] = {}
 
-        # -- observatory frame capture (docs/OBSERVABILITY.md §7) -----
-        # resolved once, like the ideal engine: a disabled store costs
-        # one lookup here and a None check per event below.
-        from ..obs.observatory import global_frame_store
-
-        self.frame_store = global_frame_store()
-        self.channel = (
-            self.frame_store.channel(
-                dag, clients=len(self.clients), policy=policy.name
-            )
-            if self.frame_store.enabled else None
+        self.handlers.update(
+            timeout=self._on_timeout,
+            speculate=self._on_speculate,
+            retry=self._on_retry,
+            wake=self._on_wake,
+            fault=self._on_fault,
         )
-        self.frame_events: list[dict] = []
-        self.frame_step = 0
+        for ev in fault_plan.events:
+            self._push(ev.time, "fault", ev)
 
-        # -- accounting -----------------------------------------------
-        self.busy_time = 0.0
-        self.idle_time = 0.0
-        self.starvation = 0
-        self.lost_allocations = 0
-        self.wasted_work = 0.0
-        self.headroom: list[tuple[float, int]] = [
-            (0.0, len(self.allocatable))
-        ]
-        self.trace: list[TraceRecord] = []
-        self.attempts: dict[int, _Attempt] = {}
-        self._aid = itertools.count()
-        self._tb = itertools.count()
-        self.events: list[tuple[float, int, str, object]] = []
-        self.makespan = 0.0
-
-    # -- setup helpers -----------------------------------------------
     def _critical_set(self) -> set[Node]:
         """The top ``critical_fraction`` of tasks by height (longest
         path to a sink), the replication targets."""
@@ -654,67 +508,26 @@ class _FaultEngine:
         k = max(1, round(self.sp.critical_fraction * len(ranked)))
         return set(ranked[:k])
 
-    def _push(self, time: float, kind: str, payload) -> None:
-        heapq.heappush(self.events, (time, next(self._tb), kind, payload))
-
-    # -- allocation ---------------------------------------------------
-    def _launch(self, cid: int, task: Node, now: float,
-                speculative: bool = False, replica: bool = False) -> None:
-        spec = self.clients[cid]
-        compute = self.work_fn(task)
-        if self.machine is not None:
-            # the machine transforms the task's work (hetero duration
-            # factors) before the client-speed division; the server
-            # knows the model, so nominal expectations shift with it
-            compute = self.machine.duration(task, cid, compute)
-            self.machine.on_start(task, cid, now)
-        base = compute / spec.speed
-        duration = base
-        if spec.dropout and self.rng.random() < spec.dropout:
-            duration *= spec.slowdown
-        comm = self.comm_per_input * self.dag.indegree(task)
-        duration += comm
-        nominal = max(base + comm, _MIN_NOMINAL)
-        lost = bool(spec.loss) and self.rng.random() < spec.loss
-        aid = next(self._aid)
-        att = _Attempt(aid, task, cid, now, duration, nominal, lost,
-                       speculative, replica)
-        self.attempts[aid] = att
-        self.in_flight.setdefault(task, set()).add(aid)
-        self.current[cid] = aid
-        self.m_alloc.inc()
-        if speculative:
+    # -- server hooks -------------------------------------------------
+    def _launched(self, att, now: float) -> None:
+        if att.speculative:
             self.m_spec.inc()
-            self.report.speculative_launches += 1
-        if replica:
-            self.report.replicas_launched += 1
-        self.tracer.event(
-            "sim.allocate", client=cid, task=str(task), t=now,
-            speculative=speculative, replica=replica,
-        )
-        self._push(now + duration, "finish", aid)
-        self._push(now + self.sp.timeout_factor * nominal, "timeout", aid)
+            self.fault_report.speculative_launches += 1
+        if att.replica:
+            self.fault_report.replicas_launched += 1
+        if self.tracer.enabled:
+            self.tracer.event(
+                "sim.allocate", client=att.client, task=str(att.task),
+                t=now, speculative=att.speculative, replica=att.replica,
+            )
+        nominal = max(att.nominal, _MIN_NOMINAL)
+        self._push(now + self.sp.timeout_factor * nominal, "timeout", att)
         if (self.sp.speculate_factor is not None
-                and not speculative and not replica):
+                and not att.speculative and not att.replica):
             self._push(now + self.sp.speculate_factor * nominal,
-                       "speculate", aid)
-
-    def _pool(self, cid: int, now: float) -> list[Node]:
-        """The allocatable tasks the machine will place on ``cid``
-        (the allocatable list itself when no machine interposes, so
-        the pre-machine selection sequence stays byte-exact)."""
-        if self.machine is None:
-            return self.allocatable
-        return [t for t in self.allocatable
-                if self.machine.placeable(t, cid, now)]
-
-    def _allocate_next(self, cid: int, now: float) -> None:
-        task = self.policy.select(self._pool(cid, now))
-        self.allocatable.remove(task)
-        self._launch(cid, task, now)
+                       "speculate", att)
 
     def _request(self, cid: int, now: float) -> None:
-        """A free client asks the server for work."""
         if cid not in self.alive:
             return
         self.current[cid] = None
@@ -723,58 +536,24 @@ class _FaultEngine:
             return
         if self.stalled_until.get(cid, 0.0) > now:
             return  # a wake event will re-request
-        if self.allocatable:
-            if self._pool(cid, now):
-                self._allocate_next(cid, now)
-                return
-            # work exists but the machine refuses to place it here
-            # (barrier wait, memory-full client): idle without a
-            # starvation count — the dag is not the bottleneck
-            self.machine.note_stall()
-            self.idle.append(cid)
-            self.idle_since[cid] = now
-            return
-        if len(self.done) < self.total:
-            self.starvation += 1
-            self.m_starve.inc()
-        self.idle.append(cid)
-        self.idle_since[cid] = now
-
-    def _take_idle(self, now: float) -> int:
-        cid = self.idle.pop(0)
-        self.idle_time += now - self.idle_since.pop(cid)
-        return cid
+        super()._request(cid, now)
 
     def _take_idle_for(self, task: Node, now: float) -> int | None:
         """The first idle client the machine lets run ``task``; the
         head of the queue when no machine interposes."""
-        if self.machine is None:
-            return self._take_idle(now)
         for i, cid in enumerate(self.idle):
-            if self.machine.placeable(task, cid, now):
-                self.idle.pop(i)
+            if self.machine is None or self.machine.placeable(task, cid,
+                                                              now):
+                del self.idle[i]
                 self.idle_time += now - self.idle_since.pop(cid)
                 return cid
         return None
 
-    def _dispatch_idle(self, now: float) -> None:
+    def _dispatch(self, now: float) -> None:
         """Put spare clients to use: fresh tasks first, then pending
         speculative re-executions, then eager replicas of critical
         in-flight tasks."""
-        while self.idle and self.allocatable:
-            if self.machine is None:
-                self._allocate_next(self._take_idle(now), now)
-                continue
-            picked = None
-            for i, cid in enumerate(self.idle):
-                if self._pool(cid, now):
-                    picked = i
-                    break
-            if picked is None:
-                break
-            cid = self.idle.pop(picked)
-            self.idle_time += now - self.idle_since.pop(cid)
-            self._allocate_next(cid, now)
+        super()._dispatch(now)
         while self.idle and self.want_spec:
             task = self.want_spec.pop(0)
             if task in self.done or not self.in_flight.get(task):
@@ -812,8 +591,8 @@ class _FaultEngine:
         delay = self.sp.backoff_base * (2 ** exponent)
         if self.sp.backoff_jitter:
             delay *= 1.0 + self.sp.backoff_jitter * self.frng.random()
-        self.report.retries += 1
-        self.report.backoff_delay_total += delay
+        self.fault_report.retries += 1
+        self.fault_report.backoff_delay_total += delay
         self.m_retries.inc()
         self.backing_off.add(task)
         self.tracer.event("sim.retry", task=str(task), t=now,
@@ -868,16 +647,16 @@ class _FaultEngine:
                 self.parked.discard(cid)
                 self._request(cid, now)
 
-    def _retire(self, aid: int) -> None:
-        """Drop an attempt from the live in-flight view."""
-        att = self.attempts[aid]
+    def _retire(self, att) -> None:
+        """Drop an attempt from the live in-flight view (idempotent: a
+        crash and a later deadline may both retire one attempt)."""
         live = self.in_flight.get(att.task)
-        if live is not None:
-            live.discard(aid)
+        if live is not None and att in live:
+            live.remove(att)
             if not live:
                 del self.in_flight[att.task]
 
-    def _emit(self, att: _Attempt, end: float, kind: str) -> None:
+    def _emit(self, att, end: float, kind: str) -> None:
         if att.traced:
             return
         att.traced = True
@@ -887,13 +666,12 @@ class _FaultEngine:
             )
 
     # -- event handlers -----------------------------------------------
-    def _on_finish(self, aid: int, now: float) -> None:
-        att = self.attempts[aid]
+    def _on_finish(self, att, now: float) -> None:
         if att.vanished:
             return  # the client died mid-flight; nothing arrives
         if att.delay > 0.0:
             # a stall pushed the completion back; re-arm once
-            self._push(now + att.delay, "finish", aid)
+            self._push(now + att.delay, "finish", att)
             att.delay = 0.0
             return
         cid = att.client
@@ -903,24 +681,24 @@ class _FaultEngine:
             # itself resurfaces and asks for more work.
             if self.machine is not None:
                 self.machine.on_abort(att.task, cid, now)
-            if self.current.get(cid) == aid:
+            if self.current[cid] is att:
                 self._request(cid, now)
             return
         att.arrived = True
-        self._retire(aid)
+        self._retire(att)
         if att.task in self.done:
             # a duplicate (replica / speculative / written-off
             # straggler) landed after the winner: pure waste.
             if self.machine is not None:
                 self.machine.on_abort(att.task, cid, now)
-            self.report.wasted_replica_time += att.duration
+            self.fault_report.wasted_replica_time += att.duration
             self._emit(att, now, "replica")
             self.fail_streak[cid] = 0
         elif (self.plan.corrupt_rate
                 and self.frng.random() < self.plan.corrupt_rate):
             if self.machine is not None:
                 self.machine.on_abort(att.task, cid, now)
-            self.report.corruptions += 1
+            self.fault_report.corruptions += 1
             self.wasted_work += att.duration
             self.m_lost.inc()
             self.lost_allocations += 1
@@ -930,34 +708,22 @@ class _FaultEngine:
             self._client_failed(cid, now)
             self._schedule_retry(att.task, now)
         else:
-            if self.machine is not None:
-                release = self.machine.on_complete(att.task, cid, now)
-                if release is not None:
-                    self._push(release, "machine", None)
-            self.done.add(att.task)
+            self._complete(att, now)
             self.busy_time += att.duration
-            self.m_done.inc()
             self.fail_streak[cid] = 0
             if att.speculative:
-                self.report.speculative_wins += 1
+                self.fault_report.speculative_wins += 1
             self._emit(att, now, "done")
-            self.tracer.event("sim.complete", client=cid,
-                              task=str(att.task), t=now)
-            for child in self.dag.children(att.task):
-                self.pending_parents[child] -= 1
-                if self.pending_parents[child] == 0:
-                    self.allocatable.append(child)
-        if self.current.get(cid) == aid:
+        if self.current[cid] is att:
             self._request(cid, now)
 
-    def _on_timeout(self, aid: int, now: float) -> None:
-        att = self.attempts[aid]
+    def _on_timeout(self, att, now: float) -> None:
         if att.arrived or att.written_off or att.task in self.done:
             return
         att.written_off = True
-        self.report.timeouts_fired += 1
+        self.fault_report.timeouts_fired += 1
         self.m_timeouts.inc()
-        self._retire(aid)
+        self._retire(att)
         self.tracer.event("sim.timeout", client=att.client,
                           task=str(att.task), t=now)
         if att.lost or att.vanished:
@@ -974,8 +740,7 @@ class _FaultEngine:
         self._client_failed(att.client, now)
         self._schedule_retry(att.task, now)
 
-    def _on_speculate(self, aid: int, now: float) -> None:
-        att = self.attempts[aid]
+    def _on_speculate(self, att, now: float) -> None:
         if (att.arrived or att.written_off or att.vanished
                 or att.task in self.done):
             return
@@ -991,7 +756,7 @@ class _FaultEngine:
         self.allocatable.append(task)
 
     def _on_wake(self, cid: int, now: float) -> None:
-        if cid not in self.alive or self.current.get(cid) is not None:
+        if cid not in self.alive or self.current[cid] is not None:
             return
         if self.stalled_until.get(cid, 0.0) > now:
             return  # a longer stall superseded this wake
@@ -1013,14 +778,13 @@ class _FaultEngine:
                 self.machine.on_crash(cid, now)
             self.alive.discard(cid)
             self.service_end[cid] = now
-            self.report.crashes += 1
-            aid = self.current.get(cid)
-            if aid is not None:
-                att = self.attempts[aid]
-                if not att.arrived:
-                    att.vanished = True
-                    att.vanish_time = now
-                    self._retire(aid)
+            self.fault_report.crashes += 1
+            att = self.current[cid]
+            self.current[cid] = None   # a dead client runs nothing
+            if att is not None and not att.arrived:
+                att.vanished = True
+                att.vanish_time = now
+                self._retire(att)
             if cid in self.idle:
                 self.idle.remove(cid)
                 self.idle_time += now - self.idle_since.pop(cid)
@@ -1034,19 +798,19 @@ class _FaultEngine:
         elif ev.kind == "join":
             cid = len(self.clients)
             self.clients.append(ev.spec or ClientSpec())
+            self.current.append(None)
             self.alive.add(cid)
-            self.current[cid] = None
             self.service_start[cid] = now
-            self.report.late_joins += 1
+            self.fault_report.late_joins += 1
             self._request(cid, now)
         elif ev.kind == "stall":
             cid = ev.client
             if cid not in self.alive:
                 return
-            self.report.stalls += 1
-            aid = self.current.get(cid)
-            if aid is not None:
-                self.attempts[aid].delay += ev.duration
+            self.fault_report.stalls += 1
+            att = self.current[cid]
+            if att is not None:
+                att.delay += ev.duration
                 return
             until = max(self.stalled_until.get(cid, 0.0),
                         now + ev.duration)
@@ -1056,128 +820,28 @@ class _FaultEngine:
                 self.idle_time += now - self.idle_since.pop(cid)
             self._push(until, "wake", cid)
 
-    def _on_machine(self, _payload, now: float) -> None:
-        """A machine release time arrived (bsp barrier opening, memcap
-        spill completing); ``_dispatch_idle`` re-examines blocked
-        clients right after."""
-        if self.machine is not None:
-            self.machine.on_release(now)
+    # -- result hooks -------------------------------------------------
+    def _stalled(self, n_done: int) -> str:
+        return (f"simulation stalled under fault plan "
+                f"{self.plan.name!r}: {n_done}/{self.total} tasks done "
+                "(did every client crash?)")
 
-    # -- main loop -----------------------------------------------------
-    _HANDLERS = {
-        "finish": _on_finish,
-        "timeout": _on_timeout,
-        "speculate": _on_speculate,
-        "retry": _on_retry,
-        "wake": _on_wake,
-        "fault": _on_fault,
-        "machine": _on_machine,
-    }
-
-    def _publish(self, now: float = 0.0) -> None:
-        self.g_allocatable.set(len(self.allocatable))
-        in_flight_tasks = len(self.in_flight) + len(self.backing_off)
-        self.g_eligible.set(len(self.allocatable) + in_flight_tasks)
-        self.g_completed.set(len(self.done))
-        if self.channel is not None:
-            self.frame_step += 1
-            occupancy: list = []
-            for cid in range(len(self.clients)):
-                aid = self.current.get(cid)
-                occupancy.append(
-                    self.attempts[aid].task if aid is not None else None
-                )
-            eligible = list(self.allocatable)
-            eligible.extend(self.in_flight)
-            eligible.extend(self.backing_off)
-            self.frame_store.record(
-                self.channel,
-                step=self.frame_step,
-                t=now,
-                executed=self.done,
-                eligible=eligible,
-                occupancy=occupancy,
-                events=tuple(self.frame_events),
-                done=len(self.done) >= self.total,
-            )
-            self.frame_events.clear()
-
-    def run(self) -> SimulationResult:
-        with span("sim.simulate", dag=self.dag.name,
-                  policy=self.policy.name, clients=len(self.clients),
-                  faults=self.plan.name):
-            for ev in self.plan.events:
-                self._push(ev.time, "fault", ev)
-            now = 0.0
-            for cid in range(len(self.clients)):
-                if cid in self.alive:
-                    self._request(cid, now)
-            self.headroom.append((now, len(self.allocatable)))
-            self._publish()
-
-            while self.events and len(self.done) < self.total:
-                now, _tb, kind, payload = heapq.heappop(self.events)
-                self.m_steps.inc()
-                self._HANDLERS[kind](self, payload, now)
-                if len(self.done) >= self.total:
-                    break
-                self._dispatch_idle(now)
-                self.headroom.append((now, len(self.allocatable)))
-                self._publish(now)
-                if (not self.events and self.machine is not None
-                        and self.allocatable):
-                    # wedged by the machine (all clients blocked, no
-                    # attempt in flight): trade for progress or stall
-                    wake = self.machine.force_progress(now)
-                    if wake is not None:
-                        self._push(wake, "machine", None)
-
-        if len(self.done) != self.total:
-            raise SimulationError(
-                f"simulation stalled under fault plan "
-                f"{self.plan.name!r}: {len(self.done)}/{self.total} "
-                "tasks done (did every client crash?)"
-            )
-        self.makespan = now
-        for cid in self.idle:
-            self.idle_time += now - self.idle_since.pop(cid, now)
+    def _settle(self, now: float) -> None:
         # duplicates still in flight at completion would be cancelled:
         # their partial execution is wasted replica time.
-        for aids in list(self.in_flight.values()):
-            for aid in sorted(aids):
-                att = self.attempts[aid]
-                self.report.wasted_replica_time += max(
+        for live in list(self.in_flight.values()):
+            for att in live:
+                self.fault_report.wasted_replica_time += max(
                     0.0, now - att.start)
                 self._emit(att, now, "replica")
-        capacity = sum(
+        self.fault_report.quarantined_clients = tuple(
+            sorted(self.ever_quarantined))
+
+    def _capacity(self, now: float) -> float:
+        return sum(
             self.service_end.get(cid, now) - self.service_start[cid]
             for cid in range(len(self.clients))
         )
-        util = self.busy_time / capacity if capacity > 0 else 1.0
-        self.report.quarantined_clients = tuple(
-            sorted(self.ever_quarantined))
-        self.headroom.append((now, len(self.allocatable)))
-        self._publish(now)
-        result = SimulationResult(
-            policy=self.policy.name,
-            makespan=self.makespan,
-            starvation_events=self.starvation,
-            idle_time=self.idle_time,
-            utilization=util,
-            headroom_series=self.headroom,
-            completed=len(self.done),
-            lost_allocations=self.lost_allocations,
-            wasted_work=self.wasted_work,
-            trace=self.trace,
-            fault_report=self.report,
-        )
-        if self.machine is not None:
-            from .machines import _record_machine
-
-            result.machine_report = self.machine.report()
-            _record_machine(self.reg, result.machine_report)
-        _record_quality(self.reg, result)
-        return result
 
 
 def simulate_with_faults(
@@ -1211,19 +875,9 @@ def simulate_with_faults(
     Completion is guaranteed whenever the plan leaves at least one
     live client.
     """
-    if isinstance(clients, int):
-        clients = [ClientSpec() for _ in range(clients)]
-    else:
-        clients = list(clients)
-    if not clients:
-        raise SimulationError("need at least one client")
-    work_fn = work if callable(work) else (lambda _v, _w=float(work): _w)
-    policy.attach(dag)
-    engine = _FaultEngine(
-        dag, policy, clients, work_fn, seed, comm_per_input,
-        record_trace,
+    return _FaultServer(
+        dag, policy, clients, work, seed, comm_per_input, record_trace,
         server_policy if server_policy is not None else ServerPolicy(),
         fault_plan if fault_plan is not None else FaultPlan(name="none"),
-        machine=machine,
-    )
-    return engine.run()
+        machine,
+    ).run()

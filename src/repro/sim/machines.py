@@ -51,18 +51,13 @@ metrics.  See ``docs/MACHINES.md``.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import random
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..core.dag import ComputationDag, Node
-from ..exceptions import MachineSpecError, SimulationError
-from ..obs import global_registry, global_tracer, span
-from .heuristics import Policy
-from .server import ClientSpec, SimulationResult, TraceRecord, _record_quality
+from ..exceptions import MachineSpecError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..api.specs import MachineSpec
@@ -522,234 +517,3 @@ def _record_machine(reg, report: MachineReport) -> None:
     reg.gauge("sim_machine_peak_memory",
               "peak per-client memory slots of the latest run",
               labels).labels(report.kind).set(report.peak_memory)
-
-
-# ----------------------------------------------------------------------
-# the machine-aware event loop (no-fault path)
-# ----------------------------------------------------------------------
-
-
-def _simulate_machine(
-    dag: ComputationDag,
-    policy: Policy,
-    clients: Sequence[ClientSpec] | int,
-    work: Callable[[Node], float] | float,
-    seed: int,
-    comm_per_input: float,
-    record_trace: bool,
-    machine: MachineModel,
-) -> SimulationResult:
-    """The machine-aware sibling of
-    :func:`repro.sim.server._simulate_ideal`: the same event loop with
-    the model's pricing/placement hooks threaded.
-
-    Kept separate so the ideal kernel stays untouched (byte-identity
-    is the acceptance bar, pinned by ``benchmarks/bench_machines.py``).
-    Observatory frame capture is ideal-path-only for now; metrics and
-    tracing are recorded identically.
-    """
-    if isinstance(clients, int):
-        clients = [ClientSpec() for _ in range(clients)]
-    if not clients:
-        raise SimulationError("need at least one client")
-    work_fn = work if callable(work) else (lambda _v, _w=float(work): _w)
-    rng = random.Random(seed)
-    policy.attach(dag)
-    machine.attach(dag, len(clients), work_fn)
-
-    reg = global_registry()
-    m_alloc = reg.counter("sim_allocations_total",
-                          "tasks handed to clients")
-    m_done = reg.counter("sim_completions_total",
-                         "task results received by the server")
-    m_lost = reg.counter("sim_losses_total",
-                         "allocations lost (client vanished)")
-    m_starve = reg.counter(
-        "sim_starvation_total",
-        "client requests that found no allocatable task")
-    g_allocatable = reg.gauge(
-        "sim_allocatable",
-        "allocatable (eligible, unallocated) tasks at the latest "
-        "simulation step")
-    g_eligible = reg.gauge(
-        "sim_eligible",
-        "ELIGIBLE unexecuted tasks (allocatable + in flight) at the "
-        "latest simulation step")
-    g_completed = reg.gauge(
-        "sim_completed",
-        "tasks completed at the latest simulation step")
-    m_steps = reg.counter(
-        "sim_steps_total", "simulation event-loop steps processed")
-    tracer = global_tracer()
-
-    pending_parents = {v: dag.indegree(v) for v in dag.nodes}
-    allocatable: list[Node] = [
-        v for v in dag.nodes if pending_parents[v] == 0
-    ]
-    allocated: set[Node] = set()
-    done: set[Node] = set()
-
-    counter = itertools.count()
-    events: list[tuple[float, int, str, int, Node | None]] = []
-    idle_clients: list[int] = []
-    idle_since: dict[int, float] = {}
-    busy_time = 0.0
-    idle_time = 0.0
-    starvation = 0
-    headroom: list[tuple[float, int]] = [(0.0, len(allocatable))]
-    lost_allocations = 0
-    wasted_work = 0.0
-    trace: list[TraceRecord] = []
-
-    def start_task(cid: int, task: Node, now: float) -> None:
-        nonlocal busy_time, lost_allocations, wasted_work
-        allocatable.remove(task)
-        allocated.add(task)
-        spec = clients[cid]
-        duration = machine.duration(task, cid, work_fn(task)) / spec.speed
-        if spec.dropout and rng.random() < spec.dropout:
-            duration *= spec.slowdown
-        duration += comm_per_input * dag.indegree(task)
-        lost = bool(spec.loss) and rng.random() < spec.loss
-        machine.on_start(task, cid, now)
-        if lost:
-            lost_allocations += 1
-            wasted_work += duration
-        else:
-            busy_time += duration
-        kind = "lost" if lost else "done"
-        m_alloc.inc()
-        tracer.event("sim.allocate", client=cid, task=str(task),
-                     t=now, kind=kind)
-        if record_trace:
-            trace.append(
-                TraceRecord(cid, task, now, now + duration, kind)
-            )
-        heapq.heappush(
-            events, (now + duration, next(counter), kind, cid, task)
-        )
-
-    def try_allocate(cid: int, now: float) -> bool:
-        if not allocatable:
-            return False
-        ready = [t for t in allocatable
-                 if machine.placeable(t, cid, now)]
-        if not ready:
-            machine.note_stall()
-            return False
-        start_task(cid, policy.select(ready), now)
-        return True
-
-    def go_idle(cid: int, now: float) -> None:
-        nonlocal starvation
-        if not allocatable and len(done) < len(dag):
-            starvation += 1
-            m_starve.inc()
-        idle_clients.append(cid)
-        idle_since[cid] = now
-
-    def publish_step() -> None:
-        g_allocatable.set(len(allocatable))
-        g_eligible.set(len(allocatable) + len(allocated))
-        g_completed.set(len(done))
-
-    with span("sim.simulate", dag=dag.name, policy=policy.name,
-              clients=len(clients), machine=machine.kind):
-        now = 0.0
-        for cid in range(len(clients)):
-            if not try_allocate(cid, now):
-                go_idle(cid, now)
-        headroom.append((now, len(allocatable)))
-        publish_step()
-
-        while events:
-            now, _tb, kind, cid, task = heapq.heappop(events)
-            m_steps.inc()
-            if kind == "release":
-                machine.on_release(now)
-            elif kind == "lost":
-                assert task is not None
-                allocated.discard(task)
-                allocatable.append(task)
-                machine.on_abort(task, cid, now)
-                m_lost.inc()
-                tracer.event("sim.loss", client=cid, task=str(task),
-                             t=now)
-            else:
-                assert task is not None
-                allocated.discard(task)
-                done.add(task)
-                m_done.inc()
-                tracer.event("sim.complete", client=cid,
-                             task=str(task), t=now)
-                release = machine.on_complete(task, cid, now)
-                if release is not None:
-                    heapq.heappush(
-                        events,
-                        (release, next(counter), "release", -1, None),
-                    )
-                for child in dag.children(task):
-                    pending_parents[child] -= 1
-                    if pending_parents[child] == 0:
-                        allocatable.append(child)
-            # wake idle clients the machine will serve; restart the
-            # scan after a success — each placement can change what is
-            # placeable elsewhere (memory freed, levels opened)
-            i = 0
-            while i < len(idle_clients) and allocatable:
-                wid = idle_clients[i]
-                ready = [t for t in allocatable
-                         if machine.placeable(t, wid, now)]
-                if ready:
-                    idle_clients.pop(i)
-                    idle_time += now - idle_since.pop(wid)
-                    start_task(wid, policy.select(ready), now)
-                    i = 0
-                else:
-                    i += 1
-            if kind in ("done", "lost"):
-                # the finishing client requests again
-                if not try_allocate(cid, now):
-                    go_idle(cid, now)
-            headroom.append((now, len(allocatable)))
-            publish_step()
-            if not events and allocatable and len(done) < len(dag):
-                # wedged: idle clients, allocatable work, nothing in
-                # flight — ask the machine to trade for progress
-                wake = machine.force_progress(now)
-                if wake is None:
-                    raise SimulationError(
-                        f"machine {machine.kind!r} wedged the "
-                        f"simulation: {len(done)}/{len(dag)} tasks "
-                        "done and no placement possible"
-                    )
-                heapq.heappush(
-                    events, (wake, next(counter), "release", -1, None)
-                )
-
-    if len(done) != len(dag):
-        raise SimulationError(
-            f"simulation stalled: {len(done)}/{len(dag)} tasks done"
-        )
-    for wid in idle_clients:
-        idle_time += now - idle_since.pop(wid, now)
-    makespan = now
-    util = (
-        busy_time / (len(clients) * makespan) if makespan > 0 else 1.0
-    )
-    result = SimulationResult(
-        policy=policy.name,
-        makespan=makespan,
-        starvation_events=starvation,
-        idle_time=idle_time,
-        utilization=util,
-        headroom_series=headroom,
-        completed=len(done),
-        lost_allocations=lost_allocations,
-        wasted_work=wasted_work,
-        trace=trace,
-        machine_report=machine.report(),
-    )
-    _record_quality(reg, result)
-    _record_machine(reg, result.machine_report)
-    return result

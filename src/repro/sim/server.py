@@ -15,6 +15,18 @@ we do not have; see DESIGN.md "Substitutions").  The model:
   speeds make completion order diverge from allocation order, which is
   precisely the regime where eligibility headroom pays off.
 
+Every run goes through one event loop, :class:`_Kernel`: one frontier,
+one event heap, one registration of the ``sim_*`` metrics, one
+observatory frame publisher and one result assembly.  A machine model
+(:mod:`repro.sim.machines`) plugs into it through the
+:class:`~repro.sim.machines.MachineModel` hooks; the ideal machine is
+``None`` and skips them.  The server is the one behaviour that
+differs, and :func:`simulate` picks it from its inputs: without a
+``server_policy`` or ``fault_plan`` the kernel is the ideal server
+below; with either, :mod:`repro.sim.faults` runs its fault-tolerant
+server (timeouts, backoff, speculation, replicas, quarantine, scripted
+faults) on the same kernel.
+
 Reported metrics: makespan, client utilization, starvation counts and
 idle time, and the eligible/allocatable headroom time-series.
 """
@@ -24,7 +36,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-import warnings
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
@@ -45,8 +56,6 @@ __all__ = [
     "SimulationResult",
     "TraceRecord",
     "simulate",
-    "simulate_batched",
-    "simulate_scheduled",
 ]
 
 
@@ -202,20 +211,19 @@ def simulate(
         with backoff, speculative re-execution, k-replication, and
         quarantine under an injected chaos script.  Passing either (a
         :class:`~repro.sim.faults.ServerPolicy` /
-        :class:`~repro.sim.faults.FaultPlan`) dispatches to
-        :func:`~repro.sim.faults.simulate_with_faults` and populates
-        ``SimulationResult.fault_report``; the default (both ``None``)
-        keeps the ideal model and its exact event sequence.
+        :class:`~repro.sim.faults.FaultPlan`) runs the fault-tolerant
+        server via :func:`~repro.sim.faults.simulate_with_faults` and
+        populates ``SimulationResult.fault_report``; the default (both
+        ``None``) keeps the ideal server and its exact event sequence.
     machine:
         A machine model (``docs/MACHINES.md``): a spec string
         (``"bsp:g=1.0"``), a :class:`~repro.api.specs.MachineSpec`, or
         a ready :class:`~repro.sim.machines.MachineModel`.  ``None``
-        and ``"ideal"`` keep today's free-communication semantics on
-        the untouched ideal kernel — byte-identical results, pinned by
-        ``benchmarks/bench_machines.py``; any other kind routes to the
-        machine-aware loop (or threads the model through the fault
-        engine — fault plans compose with any machine) and populates
-        ``SimulationResult.machine_report``.
+        and ``"ideal"`` keep today's free-communication semantics
+        (pinned by ``benchmarks/bench_machines.py``); any other kind
+        threads the model's hooks through the kernel — under either
+        server, so fault plans compose with any machine — and
+        populates ``SimulationResult.machine_report``.
 
     Allocation/completion/loss/starvation counts, the per-step
     eligibility / allocatable / completed gauges, and (on completion)
@@ -237,248 +245,420 @@ def simulate(
             record_trace, server_policy=server_policy,
             fault_plan=fault_plan, machine=model,
         )
-    if model is None:
-        return _simulate_ideal(
-            dag, policy, clients, work, seed, comm_per_input,
-            record_trace
-        )
-    from .machines import _simulate_machine
-
-    return _simulate_machine(
-        dag, policy, clients, work, seed, comm_per_input, record_trace,
-        model,
-    )
+    return _Kernel(dag, policy, clients, work, seed, comm_per_input,
+                   record_trace, model).run()
 
 
-def _simulate_ideal(
-    dag: ComputationDag,
-    policy: Policy,
-    clients: Sequence[ClientSpec] | int = 4,
-    work: Callable[[Node], float] | float = 1.0,
-    seed: int = 0,
-    comm_per_input: float = 0.0,
-    record_trace: bool = False,
-    _frames: bool = True,
-) -> SimulationResult:
-    """The ideal-model event loop behind :func:`simulate` (instant loss
-    detection, no timeouts/retries/replication).  Kept as a separate
-    kernel so the fault-path dispatch overhead is measurable
-    (``benchmarks/bench_faults.py``).
+class _Attempt:
+    """One allocation of a task to a client.  The ideal server runs at
+    most one attempt per task; the fault-tolerant server may race
+    several (retries against written-off stragglers, speculative
+    copies, eager replicas) and tracks their fate in the flags."""
 
-    ``_frames=False`` is the benchmark reference knob
-    (``benchmarks/bench_observability.py``): it skips the frame-store
-    resolution entirely, isolating the observatory's disabled-path
-    cost (one store lookup + an ``enabled`` check per run; the
-    per-event capture branch tests a local ``None`` either way)."""
-    if isinstance(clients, int):
-        clients = [ClientSpec() for _ in range(clients)]
-    if not clients:
-        raise SimulationError("need at least one client")
-    work_fn = work if callable(work) else (lambda _v, _w=float(work): _w)
-    rng = random.Random(seed)
-    policy.attach(dag)
+    __slots__ = ("task", "client", "start", "duration", "nominal", "lost",
+                 "speculative", "replica", "delay", "arrived",
+                 "written_off", "vanished", "vanish_time", "traced")
 
-    # -- observatory frame capture (docs/OBSERVABILITY.md §7) ----------
-    # resolved ONCE per run, like the tracer's enabled flag: with the
-    # global store disabled (the default), `channel` stays None and the
-    # loop below only ever pays a pointer comparison per event.
-    channel = None
-    frame_store = None
-    if _frames:
+    def __init__(self, task: Node, client: int, start: float,
+                 duration: float, nominal: float, lost: bool,
+                 speculative: bool, replica: bool) -> None:
+        self.task = task
+        self.client = client
+        self.start = start
+        self.duration = duration  # true wall time until the result arrives
+        self.nominal = nominal    # the server's expectation (no slowdown)
+        self.lost = lost          # result silently never arrives
+        self.speculative = speculative
+        self.replica = replica
+        self.delay = 0.0          # accrued stall delay, applied at finish
+        self.arrived = False
+        self.written_off = False
+        self.vanished = False     # client crashed mid-flight
+        self.vanish_time = 0.0
+        self.traced = False
+
+
+class _Kernel:
+    """The simulation event loop behind :func:`simulate`.
+
+    It owns the frontier (pending-parent counts, the allocatable list in
+    eligibility order, the done set, live attempts per task), one event
+    heap of ``(time, tiebreak, kind, item)`` entries, the ``sim_*``
+    metrics, the observatory frame publisher and the result assembly.
+    The machine model, if any, is consulted through its hooks.
+
+    This class is also the *ideal server*: a lost result is noticed when
+    it was due and its task requeued at once, idle clients are served
+    before the client that just finished, and trace records are written
+    at allocation.  :class:`repro.sim.faults._FaultServer` overrides the
+    server hooks (``_request``, ``_dispatch``, ``_launched``,
+    ``_on_finish``, ``_capacity``, ``_settle``) and adds its own event
+    kinds.
+    """
+
+    def __init__(self, dag: ComputationDag, policy: Policy,
+                 clients: Sequence[ClientSpec] | int,
+                 work: Callable[[Node], float] | float, seed: int,
+                 comm_per_input: float, record_trace: bool,
+                 machine: "MachineModel | None") -> None:
+        if isinstance(clients, int):
+            clients = [ClientSpec() for _ in range(clients)]
+        else:
+            clients = list(clients)
+        if not clients:
+            raise SimulationError("need at least one client")
+        self.dag = dag
+        self.policy = policy
+        self.clients = clients
+        self.work_fn = (work if callable(work)
+                        else (lambda _v, _w=float(work): _w))
+        #: client-behaviour stream (dropout/loss draws)
+        self.rng = random.Random(seed)
+        self.comm_per_input = comm_per_input
+        self.record_trace = record_trace
+        self.machine = machine
+        policy.attach(dag)
+        if machine is not None:
+            machine.attach(dag, len(clients), self.work_fn)
+        self.span_attrs = {"dag": dag.name, "policy": policy.name,
+                           "clients": len(clients)}
+        if machine is not None:
+            self.span_attrs["machine"] = machine.kind
+
+        reg = self.reg = global_registry()
+        self.m_alloc = reg.counter("sim_allocations_total",
+                                   "tasks handed to clients")
+        self.m_done = reg.counter("sim_completions_total",
+                                  "task results received by the server")
+        self.m_lost = reg.counter("sim_losses_total",
+                                  "allocations lost (client vanished)")
+        self.m_starve = reg.counter(
+            "sim_starvation_total",
+            "client requests that found no allocatable task")
+        self.g_allocatable = reg.gauge(
+            "sim_allocatable",
+            "allocatable (eligible, unallocated) tasks at the latest "
+            "simulation step")
+        self.g_eligible = reg.gauge(
+            "sim_eligible",
+            "ELIGIBLE unexecuted tasks (allocatable + in flight) at the "
+            "latest simulation step")
+        self.g_completed = reg.gauge(
+            "sim_completed",
+            "tasks completed at the latest simulation step")
+        self.m_steps = reg.counter(
+            "sim_steps_total", "simulation event-loop steps processed")
+        self.tracer = global_tracer()
+
+        # -- frontier -------------------------------------------------
+        self.total = len(dag)
+        self.indegree = {v: dag.indegree(v) for v in dag.nodes}
+        self.pending_parents = dict(self.indegree)
+        #: eligible and not yet handed to a client, in eligibility
+        #: order (FIFO semantics for the baseline)
+        self.allocatable: list[Node] = [
+            v for v, k in self.indegree.items() if k == 0
+        ]
+        self.done: set[Node] = set()
+        #: task -> its live attempts in launch order: what the server
+        #: believes is in flight
+        self.in_flight: dict[Node, list[_Attempt]] = {}
+        #: failed tasks waiting out a retry backoff (fault server only)
+        self.backing_off: set[Node] = set()
+
+        # -- clients and accounting -----------------------------------
+        self.current: list[_Attempt | None] = [None] * len(clients)
+        self.idle: list[int] = []
+        self.idle_since: dict[int, float] = {}
+        self.busy_time = 0.0
+        self.idle_time = 0.0
+        self.starvation = 0
+        self.lost_allocations = 0
+        self.wasted_work = 0.0
+        self.headroom: list[tuple[float, int]] = [
+            (0.0, len(self.allocatable))
+        ]
+        self.trace: list[TraceRecord] = []
+        self.fault_report: "FaultReport | None" = None
+
+        self.events: list[tuple] = []
+        self._tb = itertools.count()
+        self.handlers = {"finish": self._on_finish,
+                         "release": self._on_release}
+
+        # -- observatory frame capture (docs/OBSERVABILITY.md §7) -----
+        # resolved once per run, like the tracer's enabled flag: with
+        # the global store disabled (the default) `channel` stays None
+        # and each step pays one pointer comparison.
         from ..obs.observatory import global_frame_store
 
-        frame_store = global_frame_store()
-        if frame_store.enabled:
-            channel = frame_store.channel(
-                dag, clients=len(clients), policy=policy.name
-            )
-    occupancy: list[Node | None] = (
-        [None] * len(clients) if channel is not None else []
-    )
-    frame_events: list[dict] = []
-    frame_step = 0
+        self.frame_store = global_frame_store()
+        self.channel = (
+            self.frame_store.channel(dag, clients=len(clients),
+                                     policy=policy.name)
+            if self.frame_store.enabled else None
+        )
+        self.frame_events: list[dict] = []
+        self.frame_step = 0
 
-    reg = global_registry()
-    m_alloc = reg.counter("sim_allocations_total",
-                          "tasks handed to clients")
-    m_done = reg.counter("sim_completions_total",
-                         "task results received by the server")
-    m_lost = reg.counter("sim_losses_total",
-                         "allocations lost (client vanished)")
-    m_starve = reg.counter(
-        "sim_starvation_total",
-        "client requests that found no allocatable task")
-    g_allocatable = reg.gauge(
-        "sim_allocatable",
-        "allocatable (eligible, unallocated) tasks at the latest "
-        "simulation step")
-    g_eligible = reg.gauge(
-        "sim_eligible",
-        "ELIGIBLE unexecuted tasks (allocatable + in flight) at the "
-        "latest simulation step")
-    g_completed = reg.gauge(
-        "sim_completed",
-        "tasks completed at the latest simulation step")
-    m_steps = reg.counter(
-        "sim_steps_total", "simulation event-loop steps processed")
-    tracer = global_tracer()
+    def _push(self, time: float, kind: str, item) -> None:
+        heapq.heappush(self.events, (time, next(self._tb), kind, item))
 
-    pending_parents = {v: dag.indegree(v) for v in dag.nodes}
-    # allocatable = eligible and not yet handed to a client, in
-    # eligibility order (FIFO semantics for the baseline).
-    allocatable: list[Node] = [v for v in dag.nodes if pending_parents[v] == 0]
-    allocated: set[Node] = set()
-    done: set[Node] = set()
-
-    # event queue: (time, tiebreak, kind, payload)
-    counter = itertools.count()
-    events: list[tuple[float, int, str, int, Node | None]] = []
-    idle_clients: list[int] = []
-    idle_since: dict[int, float] = {}
-    busy_time = 0.0
-    idle_time = 0.0
-    starvation = 0
-    headroom: list[tuple[float, int]] = [(0.0, len(allocatable))]
-
-    lost_allocations = 0
-    wasted_work = 0.0
-    trace: list[TraceRecord] = []
-
-    def try_allocate(client_id: int, now: float) -> bool:
-        nonlocal busy_time, lost_allocations, wasted_work
-        if not allocatable:
-            return False
-        task = policy.select(allocatable)
-        allocatable.remove(task)
-        allocated.add(task)
-        spec = clients[client_id]
-        duration = work_fn(task) / spec.speed
-        if spec.dropout and rng.random() < spec.dropout:
+    # -- allocation ---------------------------------------------------
+    def _launch(self, cid: int, task: Node, now: float,
+                speculative: bool = False, replica: bool = False) -> None:
+        """Start an attempt of ``task`` on client ``cid``."""
+        spec = self.clients[cid]
+        compute = self.work_fn(task)
+        machine = self.machine
+        if machine is not None:
+            # the machine transforms the task's work (hetero duration
+            # factors) before the client-speed division
+            compute = machine.duration(task, cid, compute)
+            machine.on_start(task, cid, now)
+        base = compute / spec.speed
+        duration = base
+        if spec.dropout and self.rng.random() < spec.dropout:
             duration *= spec.slowdown
-        duration += comm_per_input * dag.indegree(task)
-        lost = bool(spec.loss) and rng.random() < spec.loss
-        if lost:
-            lost_allocations += 1
-            wasted_work += duration
+        comm = self.comm_per_input * self.indegree[task]
+        duration += comm
+        lost = bool(spec.loss) and self.rng.random() < spec.loss
+        att = _Attempt(task, cid, now, duration, base + comm, lost,
+                       speculative, replica)
+        live = self.in_flight.get(task)
+        if live is None:
+            self.in_flight[task] = [att]
         else:
-            busy_time += duration
-        kind = "lost" if lost else "done"
-        m_alloc.inc()
-        if channel is not None:
-            occupancy[client_id] = task
-        tracer.event("sim.allocate", client=client_id, task=str(task),
-                     t=now, kind=kind)
-        if record_trace:
-            trace.append(
-                TraceRecord(client_id, task, now, now + duration, kind)
-            )
-        heapq.heappush(
-            events, (now + duration, next(counter), kind, client_id, task)
-        )
-        return True
+            live.append(att)
+        self.current[cid] = att
+        self.m_alloc.inc()
+        heapq.heappush(self.events,
+                       (now + duration, next(self._tb), "finish", att))
+        self._launched(att, now)
 
-    def publish_step() -> None:
-        # the per-step series the live dashboard (`repro watch`)
-        # renders: latest-value gauges, one write each per event.
-        g_allocatable.set(len(allocatable))
-        g_eligible.set(len(allocatable) + len(allocated))
-        g_completed.set(len(done))
-        if channel is not None:
-            nonlocal frame_step
-            frame_step += 1
-            frame_store.record(
-                channel,
-                step=frame_step,
-                t=now,
-                executed=done,
-                eligible=list(allocatable) + list(allocated),
-                occupancy=occupancy,
-                events=tuple(frame_events),
-                done=len(done) == len(dag),
-            )
-            frame_events.clear()
+    def _launched(self, att: _Attempt, now: float) -> None:
+        """Server hook: account a fresh attempt.  The ideal server
+        books its time and writes its trace record up front."""
+        if att.lost:
+            self.lost_allocations += 1
+            self.wasted_work += att.duration
+        else:
+            self.busy_time += att.duration
+        kind = "lost" if att.lost else "done"
+        if self.tracer.enabled:
+            self.tracer.event("sim.allocate", client=att.client,
+                              task=str(att.task), t=now, kind=kind)
+        if self.record_trace:
+            self.trace.append(TraceRecord(
+                att.client, att.task, now, now + att.duration, kind))
 
-    with span("sim.simulate", dag=dag.name, policy=policy.name,
-              clients=len(clients)):
-        now = 0.0
-        for cid in range(len(clients)):
-            if not try_allocate(cid, now):
-                starvation += 1
-                m_starve.inc()
-                idle_clients.append(cid)
-                idle_since[cid] = now
-        headroom.append((now, len(allocatable)))
-        publish_step()
-
-        while events:
-            now, _tb, kind, cid, task = heapq.heappop(events)
-            m_steps.inc()
-            assert task is not None
-            if channel is not None:
-                occupancy[cid] = None
-                if kind == "lost":
-                    ev = {"kind": "loss", "client": cid,
-                          "task": str(task)}
-                    rid = current_request_id()
-                    if rid is not None:
-                        ev["request"] = rid
-                    frame_events.append(ev)
-            if kind == "lost":
-                # server detects the loss; the task goes back in the pool
-                allocated.discard(task)
-                allocatable.append(task)
-                m_lost.inc()
-                tracer.event("sim.loss", client=cid, task=str(task), t=now)
+    def _request(self, cid: int, now: float) -> None:
+        """Server hook: free client ``cid`` asks for work.  It gets the
+        policy's pick among the tasks the machine will place on it, or
+        goes idle — a starvation event when nothing is allocatable."""
+        allocatable = self.allocatable
+        if allocatable:
+            machine = self.machine
+            if machine is None:
+                pool = allocatable
             else:
-                allocated.discard(task)
-                done.add(task)
-                m_done.inc()
-                tracer.event("sim.complete", client=cid, task=str(task),
-                             t=now)
-                for child in dag.children(task):
-                    pending_parents[child] -= 1
-                    if pending_parents[child] == 0:
-                        allocatable.append(child)
-            # wake idle clients while work exists
-            while idle_clients and allocatable:
-                wid = idle_clients.pop(0)
-                idle_time += now - idle_since.pop(wid)
-                try_allocate(wid, now)
-            # the finishing client requests again
-            if not try_allocate(cid, now):
-                if len(done) < len(dag):
-                    starvation += 1
-                    m_starve.inc()
-                idle_clients.append(cid)
-                idle_since[cid] = now
-            headroom.append((now, len(allocatable)))
-            publish_step()
+                pool = [t for t in allocatable
+                        if machine.placeable(t, cid, now)]
+            if pool:
+                task = self.policy.select(pool)
+                allocatable.remove(task)
+                self._launch(cid, task, now)
+                return
+            # work exists but the machine refuses to place it here
+            # (barrier wait, memory-full client): idle without a
+            # starvation count — the dag is not the bottleneck
+            machine.note_stall()
+        elif len(self.done) < self.total:
+            self.starvation += 1
+            self.m_starve.inc()
+        self.idle.append(cid)
+        self.idle_since[cid] = now
 
-    if len(done) != len(dag):
-        raise SimulationError(
-            f"simulation stalled: {len(done)}/{len(dag)} tasks done"
+    def _dispatch(self, now: float) -> None:
+        """Server hook: hand allocatable tasks to idle clients, in idle
+        order; with a machine, the first idle client it will place
+        anything on goes next (each placement can change what is
+        placeable elsewhere)."""
+        idle, allocatable, machine = self.idle, self.allocatable, self.machine
+        while idle and allocatable:
+            if machine is None:
+                cid = idle.pop(0)
+                pool = allocatable
+            else:
+                for i, cid in enumerate(idle):
+                    pool = [t for t in allocatable
+                            if machine.placeable(t, cid, now)]
+                    if pool:
+                        del idle[i]
+                        break
+                else:
+                    break
+            self.idle_time += now - self.idle_since.pop(cid)
+            task = self.policy.select(pool)
+            allocatable.remove(task)
+            self._launch(cid, task, now)
+
+    # -- frontier updates ---------------------------------------------
+    def _complete(self, att: _Attempt, now: float) -> None:
+        """``att`` delivered the winning result: its task is done and
+        children whose last parent this was become ELIGIBLE."""
+        task, cid = att.task, att.client
+        if self.machine is not None:
+            release = self.machine.on_complete(task, cid, now)
+            if release is not None:
+                self._push(release, "release", None)
+        self.done.add(task)
+        self.m_done.inc()
+        if self.tracer.enabled:
+            self.tracer.event("sim.complete", client=cid, task=str(task),
+                              t=now)
+        pending = self.pending_parents
+        for child in self.dag.children(task):
+            pending[child] -= 1
+            if pending[child] == 0:
+                self.allocatable.append(child)
+
+    # -- event handlers -----------------------------------------------
+    def _on_finish(self, att: _Attempt, now: float) -> int | None:
+        """Server hook: an attempt's result is due.  Returns the client
+        that asks for work once idle clients have been served (the
+        ideal server's order), or ``None``."""
+        task, cid = att.task, att.client
+        self.current[cid] = None
+        del self.in_flight[task]    # the ideal server's only attempt
+        if not att.lost:
+            self._complete(att, now)
+            return cid
+        # the server notices the loss now; the task goes back in the
+        # pool (it never executed, so no recomputation rule breaks)
+        self.allocatable.append(task)
+        if self.machine is not None:
+            self.machine.on_abort(task, cid, now)
+        self.m_lost.inc()
+        if self.tracer.enabled:
+            self.tracer.event("sim.loss", client=cid, task=str(task), t=now)
+        if self.channel is not None:
+            ev = {"kind": "loss", "client": cid, "task": str(task)}
+            rid = current_request_id()
+            if rid is not None:
+                ev["request"] = rid
+            self.frame_events.append(ev)
+        return cid
+
+    def _on_release(self, _item, now: float) -> None:
+        """A machine wake time arrived (bsp barrier opening, memcap
+        spill completing); blocked clients are re-examined next."""
+        self.machine.on_release(now)
+
+    # -- per-step publication -----------------------------------------
+    def _publish(self, now: float) -> None:
+        """The per-step series the live dashboard (``repro watch``)
+        renders — latest-value gauges — and, when the observatory is
+        on, one schedule frame."""
+        allocatable, in_flight = self.allocatable, self.in_flight
+        self.g_allocatable.set(len(allocatable))
+        self.g_eligible.set(len(allocatable) + len(in_flight)
+                            + len(self.backing_off))
+        self.g_completed.set(len(self.done))
+        if self.channel is None:
+            return
+        self.frame_step += 1
+        self.frame_store.record(
+            self.channel,
+            step=self.frame_step,
+            t=now,
+            executed=self.done,
+            eligible=[*allocatable, *in_flight, *self.backing_off],
+            occupancy=[att.task if att is not None else None
+                       for att in self.current],
+            events=tuple(self.frame_events),
+            done=len(self.done) >= self.total,
         )
-    for wid in idle_clients:
-        # trailing idleness up to makespan
-        idle_time += now - idle_since.pop(wid, now)
-    makespan = now
-    util = (
-        busy_time / (len(clients) * makespan) if makespan > 0 else 1.0
-    )
-    result = SimulationResult(
-        policy=policy.name,
-        makespan=makespan,
-        starvation_events=starvation,
-        idle_time=idle_time,
-        utilization=util,
-        headroom_series=headroom,
-        completed=len(done),
-        lost_allocations=lost_allocations,
-        wasted_work=wasted_work,
-        trace=trace,
-    )
-    _record_quality(reg, result)
-    return result
+        self.frame_events.clear()
+
+    # -- the loop -----------------------------------------------------
+    def run(self) -> SimulationResult:
+        events, handlers = self.events, self.handlers
+        done, allocatable, idle = self.done, self.allocatable, self.idle
+        headroom, total, machine = self.headroom, self.total, self.machine
+        step = self.m_steps.inc
+        with span("sim.simulate", **self.span_attrs):
+            now = 0.0
+            for cid in range(len(self.clients)):
+                self._request(cid, now)
+            headroom.append((now, len(allocatable)))
+            self._publish(now)
+
+            while events and len(done) < total:
+                now, _tb, kind, item = heapq.heappop(events)
+                step()
+                asker = handlers[kind](item, now)
+                if len(done) >= total:
+                    break
+                if idle:
+                    self._dispatch(now)
+                if asker is not None:
+                    self._request(asker, now)
+                headroom.append((now, len(allocatable)))
+                self._publish(now)
+                if not events and allocatable and machine is not None:
+                    # wedged: idle clients, allocatable work, nothing in
+                    # flight — ask the machine to trade for progress
+                    wake = machine.force_progress(now)
+                    if wake is None:
+                        raise SimulationError(
+                            f"machine {machine.kind!r} wedged the "
+                            f"simulation: {len(done)}/{total} tasks "
+                            "done and no placement possible"
+                        )
+                    self._push(wake, "release", None)
+
+        if len(done) != total:
+            raise SimulationError(self._stalled(len(done)))
+        headroom.append((now, len(allocatable)))
+        self._publish(now)
+        for cid in idle:
+            # trailing idleness up to makespan
+            self.idle_time += now - self.idle_since.pop(cid, now)
+        self._settle(now)
+        capacity = self._capacity(now)
+        result = SimulationResult(
+            policy=self.policy.name,
+            makespan=now,
+            starvation_events=self.starvation,
+            idle_time=self.idle_time,
+            utilization=(self.busy_time / capacity if capacity > 0
+                         else 1.0),
+            headroom_series=headroom,
+            completed=len(done),
+            lost_allocations=self.lost_allocations,
+            wasted_work=self.wasted_work,
+            trace=self.trace,
+            fault_report=self.fault_report,
+        )
+        if machine is not None:
+            from .machines import _record_machine
+
+            result.machine_report = machine.report()
+            _record_machine(self.reg, result.machine_report)
+        _record_quality(self.reg, result)
+        return result
+
+    # -- result hooks -------------------------------------------------
+    def _stalled(self, n_done: int) -> str:
+        return f"simulation stalled: {n_done}/{self.total} tasks done"
+
+    def _settle(self, now: float) -> None:
+        """Server hook: final accounting once every task is done."""
+
+    def _capacity(self, now: float) -> float:
+        """Server hook: client-time available over the run."""
+        return len(self.clients) * now
 
 
 def _record_quality(reg, result: SimulationResult) -> None:
@@ -503,102 +683,6 @@ def _record_quality(reg, result: SimulationResult) -> None:
     reg.gauge("sim_quality_mean_headroom",
               "time-averaged allocatable count of the latest run",
               labels).labels(result.policy).set(result.mean_headroom)
-
-
-def simulate_scheduled(
-    dag: ComputationDag,
-    clients: Sequence[ClientSpec] | int = 4,
-    work: Callable[[Node], float] | float = 1.0,
-    seed: int = 0,
-    comm_per_input: float = 0.0,
-    record_trace: bool = False,
-    *,
-    parallel: bool = False,
-    workers: int | None = None,
-    cache=True,
-):
-    """Deprecated alias of the schedule-then-simulate path; use
-    :func:`repro.api.simulate` (the default ``policy="IC-OPT"``
-    regime) instead — see ``docs/API_MIGRATION.md``.
-
-    Returns ``(SimulationResult, SchedulingResult)`` exactly as
-    before.
-    """
-    warnings.warn(
-        "sim.simulate_scheduled is deprecated; use repro.api.simulate "
-        "(default IC-OPT regime) — see docs/API_MIGRATION.md",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _simulate_scheduled_impl(
-        dag, clients, work, seed, comm_per_input, record_trace,
-        parallel=parallel, workers=workers, cache=cache,
-    )
-
-
-def _simulate_scheduled_impl(
-    dag: ComputationDag,
-    clients: Sequence[ClientSpec] | int = 4,
-    work: Callable[[Node], float] | float = 1.0,
-    seed: int = 0,
-    comm_per_input: float = 0.0,
-    record_trace: bool = False,
-    *,
-    parallel: bool = False,
-    workers: int | None = None,
-    cache=True,
-):
-    """Schedule ``dag`` (strongest certificate) and :func:`simulate` it
-    under the resulting priority order.
-
-    This is the server's steady-state serving path: the certification
-    goes through :func:`~repro.core.scheduler.schedule_dag` and hence
-    (by default) the process-wide
-    :func:`~repro.core.profile_cache.global_profile_cache`, so
-    repeated requests for the same dag structure — the common case for
-    a server replaying a workload family at fixed sizes — pay the
-    exhaustive ideal-lattice search exactly once.
-
-    Returns ``(SimulationResult, SchedulingResult)``.
-    """
-    from ..core.scheduler import schedule_dag
-    from .heuristics import make_policy
-
-    scheduling = schedule_dag(
-        dag, parallel=parallel, workers=workers, cache=cache
-    )
-    result = simulate(
-        dag,
-        make_policy("IC-OPT", scheduling.schedule),
-        clients,
-        work,
-        seed,
-        comm_per_input,
-        record_trace,
-    )
-    return result, scheduling
-
-
-def simulate_batched(
-    dag: ComputationDag,
-    batches,
-    clients: Sequence[ClientSpec] | int = 4,
-    work: Callable[[Node], float] | float = 1.0,
-    seed: int = 0,
-    comm_per_input: float = 0.0,
-) -> SimulationResult:
-    """Deprecated alias of the batched regimen; use
-    :func:`repro.api.simulate` with ``batches=`` instead — see
-    ``docs/API_MIGRATION.md``."""
-    warnings.warn(
-        "sim.simulate_batched is deprecated; use repro.api.simulate("
-        "..., batches=...) — see docs/API_MIGRATION.md",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _simulate_batched_impl(
-        dag, batches, clients, work, seed, comm_per_input
-    )
 
 
 def _simulate_batched_impl(

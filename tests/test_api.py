@@ -1,13 +1,12 @@
 """Tests for the stable ``repro.api`` v1 facade and the deprecation
-shims over the legacy entry points (see docs/API_MIGRATION.md):
+shim over the legacy entry points (see docs/API_MIGRATION.md):
 
 * every verb returns a frozen, picklable result dataclass with
   JSON-native headline fields;
-* the four ``simulate`` regimes agree with the legacy entry points
-  they replace, number for number;
-* the shims (``sim.simulate_scheduled``, ``sim.simulate_batched``,
-  positional tuning args of ``core.schedule_dag``) warn exactly once
-  per call and delegate with identical behavior.
+* the ``simulate`` regimes agree with the direct library calls they
+  wrap, number for number;
+* the shim (positional tuning args of ``core.schedule_dag``) warns
+  exactly once per call and delegates with identical behavior.
 """
 
 import dataclasses
@@ -58,28 +57,28 @@ class TestFacadeVerbs:
         assert res.deficit == 0
 
     def test_simulate_default_regime_matches_legacy(self):
+        """The default regime is certify-then-simulate under IC-OPT."""
+        from repro.sim import make_policy, simulate
+
         dag = out_mesh_dag(4)
         res = api.simulate(dag, clients=3, seed=7)
-        with pytest.warns(DeprecationWarning):
-            from repro.sim import simulate_scheduled
-
-            legacy, scheduling = simulate_scheduled(
-                dag, clients=3, seed=7
-            )
-        assert res.makespan == legacy.makespan
-        assert res.utilization == legacy.utilization
+        scheduling = schedule_dag(dag)
+        direct = simulate(dag, make_policy("IC-OPT", scheduling.schedule),
+                          clients=3, seed=7)
+        assert res.makespan == direct.makespan
+        assert res.utilization == direct.utilization
         assert res.certificate == scheduling.certificate.value
 
     def test_simulate_batched_regime_matches_legacy(self):
+        """``batches=`` runs the barrier-per-round batched regimen."""
+        from repro.sim.server import _simulate_batched_impl
+
         dag = out_mesh_dag(4)
         bs = hu_batches(dag, 3)
         res = api.simulate(dag, batches=bs, clients=3, seed=1)
-        with pytest.warns(DeprecationWarning):
-            from repro.sim import simulate_batched
-
-            legacy = simulate_batched(dag, bs, clients=3, seed=1)
-        assert res.makespan == legacy.makespan
-        assert res.policy == legacy.policy
+        direct = _simulate_batched_impl(dag, bs, clients=3, seed=1)
+        assert res.makespan == direct.makespan
+        assert res.policy == direct.policy
         assert res.certificate is None
 
     def test_simulate_named_policy(self):
@@ -174,23 +173,6 @@ class TestResultContracts:
 
 
 class TestDeprecationShims:
-    def test_simulate_scheduled_warns_exactly_once(self):
-        from repro.sim import simulate_scheduled
-
-        with pytest.warns(DeprecationWarning) as rec:
-            simulate_scheduled(out_mesh_dag(3), clients=2)
-        assert len(rec) == 1
-        assert "repro.api.simulate" in str(rec[0].message)
-
-    def test_simulate_batched_warns_exactly_once(self):
-        from repro.sim import simulate_batched
-
-        dag = out_mesh_dag(3)
-        with pytest.warns(DeprecationWarning) as rec:
-            simulate_batched(dag, hu_batches(dag, 2), clients=2)
-        assert len(rec) == 1
-        assert "batches" in str(rec[0].message)
-
     def test_schedule_dag_positional_warns_and_maps(self):
         dag = out_mesh_dag(3)
         with pytest.warns(DeprecationWarning) as rec:

@@ -12,13 +12,13 @@ determinism of chaos runs: identical seeds (client seed and
 
 import pytest
 
+from repro import api
 from repro.core import ComputationDag, hu_batches
 from repro.sim import (
     ClientSpec,
     FaultPlan,
     make_policy,
     simulate,
-    simulate_batched,
 )
 from repro.obs import (
     MetricsRegistry,
@@ -72,13 +72,12 @@ class TestLossAccounting:
         assert res.lost_allocations > 0
         assert res.wasted_work > 0.0
 
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
     def test_batched_regimen_records_no_losses(self, registry):
         # the barrier regimen has no client-vanishing model: loss specs
         # are ignored, so neither the counter nor the metric moves.
         dag = ComputationDag(arcs=[(i, i + 1) for i in range(5)])
-        res = simulate_batched(
-            dag, hu_batches(dag, 2),
+        res = api.simulate(
+            dag, batches=hu_batches(dag, 2),
             clients=[ClientSpec(loss=0.9)] * 2, seed=3,
         )
         assert res.completed == len(dag)

@@ -511,13 +511,12 @@ class TestSimulationWiring:
         self._run()  # a second run: counter sums, gauges track latest
         assert registry.value("sim_runs_total", policy="IC-OPT") == 2
 
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
     def test_batched_sim_records_quality(self, registry):
+        from repro import api
         from repro.core.batched import level_batches
-        from repro.sim.server import simulate_batched
 
         chain = out_mesh_chain(3)
-        res = simulate_batched(chain.dag, level_batches(chain.dag))
+        res = api.simulate(chain.dag, batches=level_batches(chain.dag))
         assert registry.value("sim_runs_total", policy=res.policy) == 1
         assert registry.value(
             "sim_quality_makespan", policy=res.policy

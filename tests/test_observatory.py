@@ -166,6 +166,46 @@ class TestFrameStore:
         assert "crash" in kinds
 
 
+class TestKernelFrames:
+    """Every simulation path — ideal, machine and fault — publishes
+    through the kernel's one frame publisher."""
+
+    @pytest.mark.parametrize("machine", ["ideal", "memcap:cap=2",
+                                         "bsp:g=1,L=2"])
+    def test_machine_runs_record_frames_and_gauges(self, registry, store,
+                                                   mesh, machine):
+        res = api.simulate(mesh, policy="FIFO", clients=3, seed=0,
+                           machine=machine)
+        ch = store.get(mesh.fingerprint())
+        assert ch is not None and ch.latest().done
+        # one frame per processed event plus the initial allocation
+        assert ch.seq == registry.value("sim_steps_total") + 1
+        assert [f.step for f in ch.frames] == list(range(1, ch.seq + 1))
+        assert registry.value("sim_completed") == res.completed
+        assert registry.value("sim_allocatable") == 0
+        assert registry.value("sim_eligible") == 0
+
+    def test_crashed_clients_read_idle_in_frames(self, registry, store):
+        from repro.families.butterfly_net import butterfly_dag
+
+        dag = butterfly_dag(4)
+        plan = api.FaultPlan.scenario("blackout", n_clients=6, seed=0)
+        api.simulate(dag, policy="CRITPATH", clients=6, seed=1,
+                     fault_plan=plan)
+        ch = store.get(dag.fingerprint())
+        crashed_at = {ev.client: ev.time for ev in plan.events
+                      if ev.kind == "crash"}
+        assert sorted(crashed_at) == [1, 2, 3, 4, 5]
+        last = ch.latest()
+        assert last.done
+        assert last.t == pytest.approx(28.781629, abs=1e-6)
+        assert all(last.occupancy[c] is None for c in crashed_at)
+        for frame in ch.frames:
+            for cid, t in crashed_at.items():
+                if frame.t >= t:
+                    assert frame.occupancy[cid] is None, (frame.seq, cid)
+
+
 class TestGraphPayload:
     def test_levels_are_longest_path_depths(self, mesh):
         g = graph_payload(mesh)

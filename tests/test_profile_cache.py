@@ -181,9 +181,8 @@ class TestScheduleDagWiring:
 
 
 class TestSimServerWiring:
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
     def test_repeat_requests_hit_cache(self):
-        from repro.sim import simulate_scheduled
+        from repro import api
 
         mine = ProfileCache()
         old = set_global_profile_cache(mine)
@@ -193,10 +192,10 @@ class TestSimServerWiring:
                 # N8 escapes recognition, so certification still runs
                 # the exhaustive search through the profile cache
                 g, _ = block("N", 8)
-                res, scheduling = simulate_scheduled(g, clients=2, seed=seed)
-                assert scheduling.certificate is Certificate.EXHAUSTIVE
+                res = api.simulate(g, clients=2, seed=seed)
+                assert res.certificate == Certificate.EXHAUSTIVE.value
                 assert res.completed == len(g)
-                results.append(scheduling.schedule.order)
+                results.append(res.schedule.order)
         finally:
             set_global_profile_cache(old)
         assert results[0] == results[1] == results[2]
