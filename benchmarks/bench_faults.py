@@ -1,7 +1,7 @@
 """E-FAULTS — fault-tolerance machinery cost and chaos-scenario gates.
 
 PR 4 added the realistic failure model (``repro.sim.faults``): the
-public ``simulate()`` now dispatches to a fault-tolerant engine when a
+public ``simulate()`` now runs a fault-tolerant server when a
 ``server_policy`` / ``fault_plan`` is given.  This bench proves the
 fault path costs nothing when unused and stays deterministic when
 used.  It times the simulation of a ``B_7`` butterfly three ways —
@@ -10,10 +10,10 @@ used.  It times the simulation of a ``B_7`` butterfly three ways —
   (``tests/sim_reference.py``), i.e. exactly what ``simulate()`` ran
   before PR 4;
 * **disabled** — the public ``simulate()`` with faults left off
-  (default arguments), measuring the dispatch overhead.  Gated
+  (default arguments): the kernel's ideal server.  Gated
   **under 5%** by ``tools/check_bench_regression.py`` — the
   faults-disabled budget mirroring the observability budget;
-* **engine** — ``simulate()`` through the fault-tolerant engine with
+* **engine** — ``simulate()`` through the fault-tolerant server with
   the default :class:`~repro.sim.faults.ServerPolicy` and *no* fault
   plan (informational: what timeout/speculation bookkeeping costs when
   armed but never firing).
@@ -98,7 +98,7 @@ def collect_record() -> dict:
             ),
         )
         assert r_disabled == r_kernel, (
-            "faults-disabled simulate() diverged from the ideal kernel"
+            "faults-disabled simulate() diverged from the reference loop"
         )
         t_engine, r_engine = _best_of(
             REPEATS,
@@ -111,7 +111,7 @@ def collect_record() -> dict:
         # though its bookkeeping differs.
         assert r_engine.completed == r_kernel.completed
         assert abs(r_engine.makespan - r_kernel.makespan) < 1e-9, (
-            "fault engine makespan diverged with no faults injected"
+            "fault server makespan diverged with no faults injected"
         )
         assert r_engine.fault_report is not None
         assert r_engine.fault_report.retries == 0
@@ -176,10 +176,10 @@ def _render(record: dict) -> str:
 
     s, o = record["sim"], record["overhead"]
     rows = [
-        ("ideal kernel (direct)", f"{s['kernel_s'] * 1e3:.3f}", "-"),
+        ("frozen reference loop", f"{s['kernel_s'] * 1e3:.3f}", "-"),
         ("simulate(), faults off", f"{s['disabled_s'] * 1e3:.3f}",
          f"{o['disabled_pct']:.2f}%"),
-        ("fault engine, no faults", f"{s['engine_s'] * 1e3:.3f}",
+        ("fault server, no faults", f"{s['engine_s'] * 1e3:.3f}",
          f"{o['engine_pct']:.2f}%"),
     ]
     report = render_table(

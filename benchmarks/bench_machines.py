@@ -107,7 +107,7 @@ def collect_record() -> dict:
             ),
         )
         assert r_ideal == r_kernel, (
-            "simulate(machine='ideal') diverged from the ideal kernel"
+            "simulate(machine='ideal') diverged from the reference loop"
         )
 
         sweep: dict[str, dict] = {}
@@ -174,7 +174,7 @@ def _render(record: dict) -> str:
     report = render_table(
         ["path", "best ms", "overhead"],
         [
-            ("ideal kernel (direct)", f"{s['kernel_s'] * 1e3:.3f}", "-"),
+            ("frozen reference loop", f"{s['kernel_s'] * 1e3:.3f}", "-"),
             ("simulate(machine='ideal')", f"{s['ideal_s'] * 1e3:.3f}",
              f"{o['ideal_pct']:.2f}%"),
         ],

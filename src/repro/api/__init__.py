@@ -302,15 +302,14 @@ def simulate(
     * default (``policy="IC-OPT"``) — schedule the dag through the
       certification path (so repeated calls for the same structure
       reuse the cached search) and simulate under the resulting
-      priority order; this replaces ``sim.simulate_scheduled``;
+      priority order;
     * ``policy="FIFO" | "LIFO" | "RANDOM" | "MAXOUT" | "CRITPATH"`` —
       simulate under a baseline heuristic, no scheduling;
     * ``schedule_order=`` — simulate under a caller-supplied
       :class:`~repro.core.schedule.Schedule` (policy ``IC-OPT``
       semantics, no certification run);
     * ``batches=`` — the batched regimen of [20] (one batch per
-      period, a barrier per round); this replaces
-      ``sim.simulate_batched``.
+      period, a barrier per round).
 
     ``clients``, ``work``, ``seed``, ``comm_per_input``,
     ``record_trace``, ``server_policy``, and ``fault_plan`` pass

@@ -15,8 +15,7 @@ shared parser behind all three, with
   always name the exact configuration that produced it.
 
 The legacy entry points (``FaultPlan.parse``, ``ServerPolicy.parse``)
-remain supported and delegate here; the module-level helpers they used
-to share inside :mod:`repro.sim.faults` are deprecated shims now.
+remain supported and delegate here.
 
 This module deliberately imports nothing from :mod:`repro.sim` at
 module level (the simulation layer imports *it* for

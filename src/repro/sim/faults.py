@@ -21,6 +21,13 @@ failure model in two halves:
   re-execution** of stragglers, **k-replication** of critical-path
   tasks onto spare clients, and **quarantine** of flaky clients.
 
+The machinery is the fault-tolerant server, :class:`_FaultServer`: a
+set of server hooks on the one simulation kernel of
+:mod:`repro.sim.server` (same frontier, event heap, metrics, frame
+publisher and result assembly as the ideal server, and the same
+machine-model hooks).  Scripted faults are events on the kernel's
+heap; corruption is a draw on the plan's private stream.
+
 Every run is byte-identical for a given ``(dag, policy, clients,
 FaultPlan, seed)`` tuple — the chaos harness draws from its own seeded
 stream, separate from the client-behaviour stream — and every run
@@ -437,6 +444,13 @@ class _FaultServer(_Kernel):
     work before idle clients are served.  Scripted faults are events
     on the kernel's heap; corruption is a draw on the plan's stream.
     """
+
+    __slots__ = (
+        "sp", "plan", "frng", "m_retries", "m_timeouts", "m_spec",
+        "m_faults", "g_quar", "task_failures", "want_spec", "critical",
+        "alive", "quarantined", "ever_quarantined", "parked",
+        "fail_streak", "stalled_until", "service_start", "service_end",
+    )
 
     def __init__(self, dag, policy, clients, work, seed, comm_per_input,
                  record_trace, server_policy: ServerPolicy,
@@ -859,9 +873,9 @@ def simulate_with_faults(
     """Simulate ``dag`` under ``policy`` with fault injection and a
     fault-tolerant server.
 
-    This is the realistic-model sibling of
-    :func:`repro.sim.server.simulate` (which dispatches here whenever
-    a ``server_policy`` or ``fault_plan`` is given): losses are
+    This is the realistic-failure server of
+    :func:`repro.sim.server.simulate` (which calls here whenever a
+    ``server_policy`` or ``fault_plan`` is given): losses are
     detected by *timeouts* rather than by magic, failed tasks retry
     with exponential backoff, stragglers are speculatively re-executed,
     critical tasks may be k-replicated, and flaky clients are

@@ -12,9 +12,9 @@ they are gone.  This module answers with a pluggable
 API:
 
 ``ideal``
-    Today's semantics.  The dispatch layer routes ``machine="ideal"``
-    to the untouched ideal kernel, so results stay byte-identical to
-    the pre-machine simulator (regression-pinned by
+    Today's semantics.  It resolves to no model at all, so the kernel
+    skips every hook and results stay byte-identical to the
+    pre-machine simulator (regression-pinned by
     ``benchmarks/bench_machines.py``).
 ``bsp``
     Bulk-synchronous execution: tasks of dag level ℓ form superstep ℓ;
@@ -41,12 +41,13 @@ API:
     durations are independent of allocation order and identical across
     policies, which is what makes cross-policy comparison fair.
 
-Fault plans compose with any machine: :class:`~repro.sim.faults._FaultEngine`
-threads the same hook surface (duration transform, placement gate,
-barrier release, abort/crash cleanup), so ``blackout`` under ``bsp``
-is one call away.  Accounting lands in a frozen :class:`MachineReport`
-on ``SimulationResult.machine_report`` and in the ``sim_machine_*``
-metrics.  See ``docs/MACHINES.md``.
+A model is a set of hooks (duration transform, placement gate, wake
+times, abort/crash cleanup, progress valve) on the one simulation
+kernel of :mod:`repro.sim.server`, which consults them under either
+server — so fault plans compose with any machine, and ``blackout``
+under ``bsp`` is one call away.  Accounting lands in a frozen
+:class:`MachineReport` on ``SimulationResult.machine_report`` and in
+the ``sim_machine_*`` metrics.  See ``docs/MACHINES.md``.
 """
 
 from __future__ import annotations
@@ -108,8 +109,8 @@ class MachineReport:
 
 
 class MachineModel:
-    """Base machine model: the hook surface both event engines
-    (:func:`_simulate_machine` and the fault engine) thread.
+    """Base machine model: the hook surface the simulation kernel
+    (:class:`repro.sim.server._Kernel`) consults.
 
     The default implementation is the ideal machine — every hook is a
     no-op — so a model overrides only the costs it prices.  Models are
@@ -147,7 +148,7 @@ class MachineModel:
     def on_complete(self, task: Node, cid: int,
                     now: float) -> float | None:
         """``task``'s winning result arrived from ``cid``.  Returns a
-        future wake time (the engine schedules a release event and
+        future wake time (the kernel schedules a release event and
         re-dispatches idle clients then) or ``None``."""
         return None
 
@@ -162,7 +163,7 @@ class MachineModel:
         """A previously returned wake time arrived."""
 
     def force_progress(self, now: float) -> float | None:
-        """Called when the engine is wedged (idle clients, allocatable
+        """Called when the kernel is wedged (idle clients, allocatable
         tasks, empty event queue): trade something for progress and
         return the wake time, or ``None`` if nothing can be done."""
         return None
@@ -183,10 +184,10 @@ class MachineModel:
 class IdealMachine(MachineModel):
     """Today's semantics, as a model object.
 
-    The dispatch layer (:func:`resolve_machine`) short-circuits
-    ``ideal`` to the untouched ideal kernel, so this class exists for
-    the model interface's sake (custom models subclass the same
-    no-ops) and for callers that want an explicit object.
+    :func:`resolve_machine` maps ``ideal`` to no model, so the kernel
+    skips the hooks entirely; this class exists for the model
+    interface's sake (custom models subclass the same no-ops) and for
+    callers that want an explicit object.
     """
 
     kind = "ideal"
@@ -468,9 +469,9 @@ def build_machine(spec: "MachineSpec") -> MachineModel:
 def resolve_machine(machine) -> MachineModel | None:
     """Resolve a ``machine=`` argument — ``None``, a spec string, a
     :class:`~repro.api.specs.MachineSpec`, or a ready
-    :class:`MachineModel` — to the model the engines thread, or
-    ``None`` for the ideal machine (the dispatch layer keeps the ideal
-    path byte-identical by never interposing a model there)."""
+    :class:`MachineModel` — to the model the kernel consults, or
+    ``None`` for the ideal machine (the kernel skips every hook then,
+    which keeps the ideal path byte-identical)."""
     if machine is None or isinstance(machine, MachineModel):
         if machine is not None and machine.kind == "ideal":
             return None

@@ -49,7 +49,9 @@ from ..exceptions import SimulationError
 from ..core.dag import ComputationDag, Node
 from ..obs import global_registry, global_tracer, span
 from ..obs.context import current_request_id
+from ..obs.observatory import global_frame_store
 from .heuristics import Policy
+from .machines import _record_machine, resolve_machine
 
 __all__ = [
     "ClientSpec",
@@ -232,11 +234,7 @@ def simulate(
     renders live; with tracing enabled, every allocation outcome also
     emits a structured trace event under the ``sim.simulate`` span.
     """
-    model = None
-    if machine is not None:
-        from .machines import resolve_machine
-
-        model = resolve_machine(machine)
+    model = None if machine is None else resolve_machine(machine)
     if server_policy is not None or fault_plan is not None:
         from .faults import simulate_with_faults
 
@@ -296,6 +294,19 @@ class _Kernel:
     kinds.
     """
 
+    __slots__ = (
+        "dag", "policy", "clients", "work_fn", "rng", "comm_per_input",
+        "record_trace", "machine", "span_attrs", "reg", "tracer",
+        "m_alloc", "m_done", "m_lost", "m_starve", "m_steps",
+        "g_allocatable", "g_eligible", "g_completed",
+        "total", "children", "indegree", "pending_parents", "allocatable",
+        "done", "in_flight", "backing_off",
+        "current", "idle", "idle_since", "busy_time", "idle_time",
+        "starvation", "lost_allocations", "wasted_work", "headroom",
+        "trace", "fault_report", "events", "_tb", "handlers",
+        "frame_store", "channel", "frame_events", "frame_step",
+    )
+
     def __init__(self, dag: ComputationDag, policy: Policy,
                  clients: Sequence[ClientSpec] | int,
                  work: Callable[[Node], float] | float, seed: int,
@@ -351,8 +362,14 @@ class _Kernel:
         self.tracer = global_tracer()
 
         # -- frontier -------------------------------------------------
-        self.total = len(dag)
-        self.indegree = {v: dag.indegree(v) for v in dag.nodes}
+        # adjacency read once, in the dag's own child order
+        nodes = dag.nodes
+        self.total = len(nodes)
+        self.children: dict[Node, list[Node]] = {v: [] for v in nodes}
+        self.indegree = dict.fromkeys(nodes, 0)
+        for u, v in dag.arcs:
+            self.children[u].append(v)
+            self.indegree[v] += 1
         self.pending_parents = dict(self.indegree)
         #: eligible and not yet handed to a client, in eligibility
         #: order (FIFO semantics for the baseline)
@@ -390,8 +407,6 @@ class _Kernel:
         # resolved once per run, like the tracer's enabled flag: with
         # the global store disabled (the default) `channel` stays None
         # and each step pays one pointer comparison.
-        from ..obs.observatory import global_frame_store
-
         self.frame_store = global_frame_store()
         self.channel = (
             self.frame_store.channel(dag, clients=len(clients),
@@ -518,7 +533,7 @@ class _Kernel:
             self.tracer.event("sim.complete", client=cid, task=str(task),
                               t=now)
         pending = self.pending_parents
-        for child in self.dag.children(task):
+        for child in self.children[task]:
             pending[child] -= 1
             if pending[child] == 0:
                 self.allocatable.append(child)
@@ -642,8 +657,6 @@ class _Kernel:
             fault_report=self.fault_report,
         )
         if machine is not None:
-            from .machines import _record_machine
-
             result.machine_report = machine.report()
             _record_machine(self.reg, result.machine_report)
         _record_quality(self.reg, result)
