@@ -7,8 +7,8 @@ fault path costs nothing when unused and stays deterministic when
 used.  It times the simulation of a ``B_7`` butterfly three ways —
 
 * **kernel** — the frozen ideal-model event loop
-  (``tests/sim_reference.py``), i.e. exactly what ``simulate()`` ran
-  before PR 4;
+  (``tests/sim_reference.py``), the baseline the ideal path is held
+  to;
 * **disabled** — the public ``simulate()`` with faults left off
   (default arguments): the kernel's ideal server.  Gated
   **under 5%** by ``tools/check_bench_regression.py`` — the

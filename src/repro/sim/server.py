@@ -290,8 +290,8 @@ class _Kernel:
     before the client that just finished, and trace records are written
     at allocation.  :class:`repro.sim.faults._FaultServer` overrides the
     server hooks (``_request``, ``_dispatch``, ``_launched``,
-    ``_on_finish``, ``_capacity``, ``_settle``) and adds its own event
-    kinds.
+    ``_on_finish``, ``_stalled``, ``_settle``, ``_capacity``) and adds
+    its own event kinds.
     """
 
     __slots__ = (
@@ -440,15 +440,10 @@ class _Kernel:
         lost = bool(spec.loss) and self.rng.random() < spec.loss
         att = _Attempt(task, cid, now, duration, base + comm, lost,
                        speculative, replica)
-        live = self.in_flight.get(task)
-        if live is None:
-            self.in_flight[task] = [att]
-        else:
-            live.append(att)
+        self.in_flight.setdefault(task, []).append(att)
         self.current[cid] = att
         self.m_alloc.inc()
-        heapq.heappush(self.events,
-                       (now + duration, next(self._tb), "finish", att))
+        self._push(now + duration, "finish", att)
         self._launched(att, now)
 
     def _launched(self, att: _Attempt, now: float) -> None:
@@ -598,6 +593,8 @@ class _Kernel:
 
     # -- the loop -----------------------------------------------------
     def run(self) -> SimulationResult:
+        """Every client requests once, then events are processed in
+        time order until every task is done."""
         events, handlers = self.events, self.handlers
         done, allocatable, idle = self.done, self.allocatable, self.idle
         headroom, total, machine = self.headroom, self.total, self.machine
@@ -664,6 +661,7 @@ class _Kernel:
 
     # -- result hooks -------------------------------------------------
     def _stalled(self, n_done: int) -> str:
+        """Server hook: the error message of a run that cannot finish."""
         return f"simulation stalled: {n_done}/{self.total} tasks done"
 
     def _settle(self, now: float) -> None:
