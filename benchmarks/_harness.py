@@ -17,14 +17,25 @@ OUT_DIR = pathlib.Path(__file__).parent / "out"
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
+def _reference(name: str):
+    """Load the frozen oracle module ``tests/<name>.py``."""
+    path = REPO / "tests" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def reference_simulate():
     """The frozen ideal-model event loop (``tests/sim_reference.py``):
     the baseline the ideal-path overhead budgets are measured against."""
-    path = REPO / "tests" / "sim_reference.py"
-    spec = importlib.util.spec_from_file_location("sim_reference", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.simulate_reference
+    return _reference("sim_reference").simulate_reference
+
+
+def reference_max_profile():
+    """The frozen frozenset level BFS (``tests/optimality_reference.py``):
+    the oracle and ``legacy`` timing leg of the optimality bench."""
+    return _reference("optimality_reference").max_profile_reference
 
 
 def write_report(experiment: str, text: str) -> None:

@@ -100,10 +100,11 @@ def _kernel_profile(dag, state_budget: int = BUDGET) -> list[int]:
     n = nonsink_mask.bit_count()
     profile = [init_eligible.bit_count()]
     if n:
-        maxima, _states, _peak, _owned = _level_bfs(
-            children, parents_mask, nonsink_mask,
-            0, init_eligible, 0, n, state_budget, dag.name,
+        maxima, _states, _peak, complete = _level_bfs(
+            children, parents_mask, nonsink_mask, init_eligible,
+            state_budget,
         )
+        assert complete, f"{dag.name}: kernel exceeded its state budget"
         profile.extend(maxima)
     for t in range(n + 1, total + 1):
         profile.append(total - t)

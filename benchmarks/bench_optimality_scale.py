@@ -6,15 +6,14 @@ searches of :mod:`repro.core.optimality` on the Section 5
 butterfly/FFT certification workload, which every figure benchmark
 funnels through.
 
-Four measurements per size (butterfly networks ``B_2`` and ``B_3`` —
+Three measurements per size (butterfly networks ``B_2`` and ``B_3`` —
 ``B_3`` is the largest exactly certifiable butterfly; ``B_4``'s
 nonsink ideal lattice exceeds 2·10⁷ states):
 
-* **legacy** — the pre-rewrite frozenset-based level BFS, kept here
-  verbatim as the reference implementation and correctness oracle;
+* **legacy** — the pre-rewrite frozenset-based level BFS, frozen in
+  ``tests/optimality_reference.py`` as the reference implementation
+  and correctness oracle;
 * **sequential** — the bitmask engine (canonical frontier keys);
-* **parallel** — the same engine with ``parallel=True`` first-level
-  fan-out (informational on 1-core hosts);
 * **cached** — a repeat certification through
   :class:`repro.core.ProfileCache` (the O(1) common case).
 
@@ -46,10 +45,9 @@ from repro.core import (
     max_eligibility_profile,
     set_global_profile_cache,
 )
-from repro.exceptions import OptimalityError
 from repro.families.butterfly_net import butterfly_dag
 
-from _harness import OUT_DIR, write_report
+from _harness import OUT_DIR, reference_max_profile, write_report
 
 #: where a fresh run writes its record (the committed baseline lives at
 #: ``benchmarks/BENCH_optimality.json``).
@@ -59,44 +57,6 @@ BASELINE_RECORD = pathlib.Path(__file__).parent / "BENCH_optimality.json"
 #: butterfly dimensions certified; the last entry is "the largest".
 SIZES = (2, 3)
 REPEATS = 3
-
-
-def _legacy_max_profile(dag, state_budget: int = 20_000_000) -> list[int]:
-    """The seed implementation (frozenset states), verbatim: the
-    reference the rewrite must match byte for byte."""
-    dag.validate()
-    total = len(dag)
-    nonsinks = [v for v in dag.nodes if not dag.is_sink(v)]
-    n = len(nonsinks)
-    nonsink_set = set(nonsinks)
-    parents_count = {v: dag.indegree(v) for v in dag.nodes}
-    init_eligible = frozenset(v for v in dag.nodes if parents_count[v] == 0)
-    profile = [len(init_eligible)]
-    frontier = {frozenset(): init_eligible}
-    states_seen = 1
-    for _t in range(1, n + 1):
-        nxt: dict = {}
-        for executed, eligible in frontier.items():
-            for u in eligible:
-                if u not in nonsink_set:
-                    continue
-                new_exec = executed | {u}
-                if new_exec in nxt:
-                    continue
-                newly = [
-                    c
-                    for c in dag.children(u)
-                    if all(p in new_exec for p in dag.parents(c))
-                ]
-                nxt[new_exec] = (eligible - {u}) | frozenset(newly)
-                states_seen += 1
-                if states_seen > state_budget:
-                    raise OptimalityError("legacy reference exceeded budget")
-        profile.append(max(len(e) for e in nxt.values()))
-        frontier = nxt
-    for t in range(n + 1, total + 1):
-        profile.append(total - t)
-    return profile
 
 
 def _best_of(repeats: int, fn):
@@ -113,20 +73,17 @@ def _best_of(repeats: int, fn):
 def collect_record() -> dict:
     """Run the whole workload; return the JSON-ready record."""
     budget = 20_000_000
+    legacy = reference_max_profile()
     sizes = []
     for d in SIZES:
         dag = butterfly_dag(d)
         t_legacy, p_legacy = _best_of(
-            REPEATS, lambda g=dag: _legacy_max_profile(g, budget)
+            REPEATS, lambda g=dag: legacy(g, budget)
         )
         stats = SearchStats()
         t_seq, p_seq = _best_of(
             REPEATS,
             lambda g=dag: max_eligibility_profile(g, budget, stats=stats),
-        )
-        t_par, p_par = _best_of(
-            REPEATS,
-            lambda g=dag: max_eligibility_profile(g, budget, parallel=True),
         )
         cache = ProfileCache()
         cache.max_profile(dag, budget)  # warm
@@ -134,7 +91,6 @@ def collect_record() -> dict:
             REPEATS, lambda g=dag: cache.max_profile(g, budget)
         )
         assert p_seq == p_legacy, f"B_{d}: sequential diverged from legacy"
-        assert p_par == p_legacy, f"B_{d}: parallel diverged from legacy"
         assert p_cached == p_legacy, f"B_{d}: cached diverged from legacy"
         sched = find_ic_optimal_schedule(dag, budget, max_profile=p_seq)
         assert sched is not None and list(sched.profile) == p_legacy
@@ -147,7 +103,6 @@ def collect_record() -> dict:
                 "frontier_peak": stats.frontier_peak,
                 "legacy_s": round(t_legacy, 6),
                 "sequential_s": round(t_seq, 6),
-                "parallel_s": round(t_par, 6),
                 "cached_s": round(t_cached, 6),
                 "nodes_per_sec": round(len(dag) / t_seq, 1),
                 "states_per_sec": round(stats.states_expanded / t_seq, 1),

@@ -181,8 +181,9 @@ def schedule(
         Ideal-state cap for the exhaustive search; exceeding it falls
         back (anytime under a ``budget``, else the stamped heuristic).
     parallel / workers:
-        Fan the exhaustive search over a process pool (same result,
-        faster arrival; see ``docs/PERFORMANCE.md``).
+        Accepted for v1 compatibility and ignored: the lattice search
+        always runs in-process (``docs/PERFORMANCE.md`` §1.4), and
+        these options never changed a result.
     cache:
         ``True`` (default) memoizes in the process-wide certification
         cache; a :class:`~repro.core.profile_cache.ProfileCache` uses
@@ -194,8 +195,6 @@ def schedule(
         budget=budget,
         exhaustive_limit=exhaustive_limit,
         state_budget=state_budget,
-        parallel=parallel,
-        workers=workers,
         cache=cache,
     )
     return ScheduleResult(
@@ -232,7 +231,8 @@ def verify(
     *measured* — ``ic_optimal`` is True exactly when the schedule's
     profile meets the ceiling at every step, independent of the
     certificate (an ``"anytime"`` or ``"heuristic"`` schedule can
-    still verify clean).
+    still verify clean).  ``parallel``/``workers`` are accepted and
+    ignored, as in :func:`schedule`.
     """
     sched = schedule(
         target,
@@ -240,23 +240,17 @@ def verify(
         budget=budget,
         exhaustive_limit=exhaustive_limit,
         state_budget=state_budget,
-        parallel=parallel,
-        workers=workers,
         cache=cache,
     )
     dag = sched.schedule.dag
     if cache is True:
         cache = global_profile_cache()
     if isinstance(cache, ProfileCache):
-        ceiling = cache.max_profile(
-            dag, state_budget, parallel=parallel, workers=workers
-        )
+        ceiling = cache.max_profile(dag, state_budget)
     else:
         from ..core.optimality import max_eligibility_profile
 
-        ceiling = max_eligibility_profile(
-            dag, state_budget, parallel=parallel, workers=workers
-        )
+        ceiling = max_eligibility_profile(dag, state_budget)
     rep = quality_report(sched.schedule, max_profile=ceiling)
     return VerifyResult(
         fingerprint=sched.fingerprint,
@@ -319,7 +313,8 @@ def simulate(
     (``"ideal"``, the default, is the free-communication model and
     leaves the run bit-for-bit identical to earlier releases); the
     remaining options tune the certification path of the default
-    regime.
+    regime (``parallel``/``workers`` are accepted and ignored, as in
+    :func:`schedule`).
     """
     from ..exceptions import SimulationError
     from ..sim.heuristics import make_policy
@@ -356,8 +351,6 @@ def simulate(
             budget=budget,
             exhaustive_limit=exhaustive_limit,
             state_budget=state_budget,
-            parallel=parallel,
-            workers=workers,
             cache=cache,
         )
         from ..obs.observatory import global_frame_store
@@ -435,7 +428,9 @@ def compare(
     certification path, unless ``include_ic_optimal=False`` — on
     identical clients, seeds, identical machine model (``machine=``,
     spec string or :class:`MachineSpec`), and (when given) an
-    identical chaos script, and tabulate the quality gap."""
+    identical chaos script, and tabulate the quality gap.
+    ``parallel``/``workers`` are accepted and ignored, as in
+    :func:`schedule`."""
     from ..sim.metrics import compare_policies
 
     spec = parse_machine(machine) if isinstance(machine, str) else machine
@@ -449,8 +444,6 @@ def compare(
             budget=budget,
             exhaustive_limit=exhaustive_limit,
             state_budget=state_budget,
-            parallel=parallel,
-            workers=workers,
             cache=cache,
         )
         certificate = scheduled.certificate

@@ -139,7 +139,7 @@ def cmd_schedule(args) -> int:
     chain = build_family(args.family, args.param)
     result = api.schedule(
         chain, strategy=args.strategy, budget=args.budget,
-        parallel=args.parallel, cache=not args.no_cache,
+        cache=not args.no_cache,
     )
     print(chain.dag.summary())
     print("composite type:", chain.type_string())
@@ -160,7 +160,7 @@ def cmd_verify(args) -> int:
     target = _family_or_block(args.family, args.param)
     result = api.verify(
         target, strategy=args.strategy, budget=args.budget,
-        parallel=args.parallel, cache=not args.no_cache,
+        cache=not args.no_cache,
     )
     print(f"certificate: {result.certificate} (kind={result.kind}, "
           f"strategy={result.strategy})")
@@ -413,7 +413,6 @@ def cmd_serve(args) -> int:
         workers=args.workers,
         exhaustive_limit=args.exhaustive_limit,
         state_budget=args.state_budget,
-        parallel=args.parallel,
         strategy=args.strategy,
         budget=args.budget,
     )
@@ -790,13 +789,6 @@ def _add_search_flags(p: argparse.ArgumentParser) -> None:
         "loss bounds",
     )
     p.add_argument(
-        "--parallel",
-        action="store_true",
-        help="fan the exhaustive ideal-lattice search out over a "
-        "process pool (same result, sized from os.cpu_count(); "
-        "see docs/PERFORMANCE.md)",
-    )
-    p.add_argument(
         "--no-cache",
         action="store_true",
         help="bypass the content-addressed certification cache",
@@ -922,10 +914,6 @@ def make_parser() -> argparse.ArgumentParser:
         "--state-budget", type=int, default=500_000,
         help="ideal-state cap per certification search "
         "(default %(default)s)",
-    )
-    p.add_argument(
-        "--parallel", action="store_true",
-        help="fan certification searches over a process pool",
     )
     p.add_argument(
         "--strategy",

@@ -384,8 +384,6 @@ def certify(
     budget: int | None = None,
     exhaustive_limit: int = 24,
     state_budget: int = 500_000,
-    parallel: bool = False,
-    workers: int | None = None,
     cache: ProfileCache | bool = True,
     library: BlockCertificateLibrary | bool = True,
 ) -> SchedulingResult:
@@ -397,7 +395,8 @@ def certify(
     :class:`BlockCertificateLibrary`.  Strategies:
 
     * ``"auto"`` — decomposition first (chain / recognized family /
-      component split), exhaustive on residuals within
+      component split; a block whose search passes ``state_budget``
+      counts as not decomposing), exhaustive on residuals within
       ``exhaustive_limit``/``state_budget``, then anytime when a
       ``budget`` was given, else the stamped greedy heuristic;
     * ``"compositional"`` — decomposition only; raises
@@ -429,7 +428,7 @@ def certify(
     with span("certify", dag=dag.name, strategy=strategy):
         result = _dispatch(
             strategy, chain, dag, budget, exhaustive_limit,
-            state_budget, parallel, workers, cache_, lib,
+            state_budget, cache_, lib,
         )
     result.strategy = strategy
     global_registry().counter(
@@ -441,7 +440,7 @@ def certify(
 
 
 def _dispatch(strategy, chain, dag, budget, exhaustive_limit,
-              state_budget, parallel, workers, cache, lib):
+              state_budget, cache, lib):
     if strategy == "heuristic":
         return _heuristic(dag)
     if strategy == "anytime":
@@ -449,10 +448,10 @@ def _dispatch(strategy, chain, dag, budget, exhaustive_limit,
             dag, budget if budget is not None else state_budget
         )
     if strategy == "exhaustive":
-        return _exhaustive(dag, state_budget, parallel, workers, cache)
+        return _exhaustive(dag, state_budget, cache)
     if strategy == "compositional":
         res = _decompose(chain, dag, lib, exhaustive_limit,
-                         state_budget, parallel, workers, cache)
+                         state_budget, cache)
         if res is None:
             raise OptimalityError(
                 f"dag {dag.name!r} does not decompose into certified "
@@ -462,14 +461,18 @@ def _dispatch(strategy, chain, dag, budget, exhaustive_limit,
         return res
 
     # auto: decompose, then exhaustive residual, then anytime/greedy.
-    res = _decompose(chain, dag, lib, exhaustive_limit, state_budget,
-                     parallel, workers, cache)
+    # A block search past ``state_budget`` means "did not decompose"
+    # here, so the ladder below still runs.
+    try:
+        res = _decompose(chain, dag, lib, exhaustive_limit, state_budget,
+                         cache)
+    except OptimalityError:
+        res = None
     if res is not None:
         return res
     if _nonsinks(dag) <= exhaustive_limit:
         try:
-            return _exhaustive(dag, state_budget, parallel, workers,
-                               cache)
+            return _exhaustive(dag, state_budget, cache)
         except OptimalityError:
             pass
     if budget is not None:
@@ -484,8 +487,7 @@ def _nonsinks(dag: ComputationDag) -> int:
 # -- decomposition -----------------------------------------------------
 
 
-def _decompose(chain, dag, lib, exhaustive_limit, state_budget,
-               parallel, workers, cache):
+def _decompose(chain, dag, lib, exhaustive_limit, state_budget, cache):
     """The compositional certification attempt: explicit chain, then
     family recognition, then component split.  ``None`` when no
     decomposition certifies."""
@@ -500,7 +502,7 @@ def _decompose(chain, dag, lib, exhaustive_limit, state_budget,
         if res is not None:
             return res
     return _component_split(dag, lib, exhaustive_limit, state_budget,
-                            parallel, workers, cache)
+                            cache)
 
 
 def _resolve_chain(chain, lib, state_budget):
@@ -572,8 +574,7 @@ def _try_chain(chain, lib, state_budget, provenance=None):
     return None
 
 
-def _component_split(dag, lib, exhaustive_limit, state_budget,
-                     parallel, workers, cache):
+def _component_split(dag, lib, exhaustive_limit, state_budget, cache):
     """Certify a disconnected dag as the ⇑-sum of its weakly connected
     components (Section 2.3.1 allows an empty merge set), each
     component certified recursively (recognition, then exhaustive).
@@ -589,7 +590,7 @@ def _component_split(dag, lib, exhaustive_limit, state_budget,
     for i, comp in enumerate(comps):
         sub = dag.induced_subdag(comp, name=f"{dag.name}/c{i}")
         res = _certify_component(sub, lib, exhaustive_limit,
-                                 state_budget, parallel, workers, cache)
+                                 state_budget, cache)
         if res is None or not res.ic_optimal:
             return None
         blocks.append((sub, res))
@@ -626,7 +627,7 @@ def _component_split(dag, lib, exhaustive_limit, state_budget,
 
 
 def _certify_component(sub, lib, exhaustive_limit, state_budget,
-                       parallel, workers, cache):
+                       cache):
     """One component's certification: recognition, then exhaustive —
     no further component split (components are connected) and no
     unbounded fallbacks (a block must be certified or the split
@@ -638,8 +639,7 @@ def _certify_component(sub, lib, exhaustive_limit, state_budget,
             return res
     if _nonsinks(sub) <= exhaustive_limit:
         try:
-            return _exhaustive(sub, state_budget, parallel, workers,
-                               cache)
+            return _exhaustive(sub, state_budget, cache)
         except OptimalityError:
             return None
     return None
@@ -648,25 +648,18 @@ def _certify_component(sub, lib, exhaustive_limit, state_budget,
 # -- monolithic strategies ---------------------------------------------
 
 
-def _exhaustive(dag, state_budget, parallel, workers, cache):
+def _exhaustive(dag, state_budget, cache):
     """The classic path: exact ceiling + lattice search.  Returns
     ``EXHAUSTIVE`` (IC-optimal) or ``NONE_EXISTS`` (greedy schedule
     with its *exact* loss as a degenerate bounds interval); raises
     :class:`OptimalityError` past ``state_budget``."""
     if cache is not None:
-        profile = cache.max_profile(
-            dag, state_budget, parallel=parallel, workers=workers
-        )
-        sched = cache.find_schedule(
-            dag, state_budget, parallel=parallel, workers=workers
-        )
+        profile = cache.max_profile(dag, state_budget)
+        sched = cache.find_schedule(dag, state_budget)
     else:
-        profile = max_eligibility_profile(
-            dag, state_budget, parallel=parallel, workers=workers
-        )
+        profile = max_eligibility_profile(dag, state_budget)
         sched = find_ic_optimal_schedule(
-            dag, state_budget, parallel=parallel, workers=workers,
-            max_profile=profile,
+            dag, state_budget, max_profile=profile,
         )
     if sched is not None:
         return SchedulingResult(

@@ -51,55 +51,27 @@ maintained incrementally: executing node *u* flips one bit out and
 ORs in the children of *u* whose parents are all executed —
 ``O(out-degree)`` per transition.
 
-``parallel=True`` fans the BFS out over the first-level branches (one
-per initially eligible nonsink) to a ``multiprocessing`` pool sized
-from ``os.cpu_count()``; the profile is the pointwise max of the
-branch profiles, so the result is byte-identical to the sequential
-path regardless of worker scheduling.  A configurable state budget
-guards against accidentally exploding dags (applied per branch in
-parallel mode, since branches cannot share a visited set).
-
-Observability across the process boundary
------------------------------------------
-Each pool worker records its telemetry into a *private* registry and
-tracer and ships ``(result, metrics_snapshot, trace_records)`` back
-with its branch result; the coordinator folds every worker delta into
-the process-wide registry (:meth:`MetricsRegistry.merge`) and tracer
-(:meth:`Tracer.adopt`), so nothing recorded in a worker is lost.
-
-The headline ``search_*`` totals are **identical between the parallel
-and sequential paths** even though branches duplicate work.  The trick
-is ownership accounting: every nonsink ideal's minimal elements are
-sources (an ideal contains all predecessors of its members), so each
-ideal contains at least one first-level move and is *owned* by the
-smallest-indexed one.  A branch can test ownership locally in O(1)
-(``lowest set bit of (state & first_moves_mask) == branch bit``), and
-the owned-per-level counts summed across branches reproduce exactly
-the deduplicated level sizes the sequential BFS sees — same
-``search_states_expanded_total``, same ``search_frontier_peak``.  The
-raw duplicated effort remains visible as ``search_branch_states_total``
-(recorded worker-side, merged back).
+The search runs in the calling process.  Certification
+(:mod:`repro.core.certify`) composes the paper's families from small
+blocks by Theorem 2.1, so the lattice sees blocks and undecomposable
+residuals of at most ``exhaustive_limit`` nonsinks; at that size a
+process pool costs more to start than the search it would split (see
+``docs/PERFORMANCE.md`` §1.4).  A state budget guards against
+accidentally exploding dags: :func:`max_eligibility_profile` raises
+past it, :func:`partial_max_eligibility_profile` returns the levels it
+finished.
 """
 
 from __future__ import annotations
 
-import logging
-import os
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 from ..exceptions import OptimalityError
-from ..obs import MetricsRegistry, Tracer, global_registry, global_tracer, span
-from ..obs.context import (
-    current_request_id,
-    reset_request_id,
-    set_request_id,
-)
+from ..obs import global_registry, span
 from .dag import ComputationDag, Node
 from .schedule import Schedule
-
-_LOG = logging.getLogger("repro.core.optimality")
 
 __all__ = [
     "max_eligibility_profile",
@@ -133,66 +105,49 @@ class SearchStats:
     another.
     """
 
-    #: distinct ideal states expanded (deduped; identical between the
-    #: sequential and parallel paths — parallel branches report
-    #: ownership-deduplicated counts, see the module docstring).
+    #: distinct ideal states expanded (the empty start ideal included).
     states_expanded: int = 0
     #: largest BFS frontier encountered.
     frontier_peak: int = 0
-    #: first-level branches fanned out (0 = sequential path taken).
-    branches: int = 0
-    #: pool size used (0 = sequential path taken).
-    workers: int = 0
 
     @classmethod
     def from_registry(cls, registry=None) -> "SearchStats":
         """The process-lifetime totals as recorded in ``registry``
         (default: the global one) — a view over
-        ``search_states_expanded_total`` / ``search_frontier_peak`` /
-        ``search_branches_total`` / ``search_workers_peak``."""
+        ``search_states_expanded_total`` / ``search_frontier_peak``."""
         reg = registry if registry is not None else global_registry()
         return cls(
             states_expanded=int(reg.value("search_states_expanded_total")),
             frontier_peak=int(reg.value("search_frontier_peak")),
-            branches=int(reg.value("search_branches_total")),
-            workers=int(reg.value("search_workers_peak")),
         )
 
 
-def _record_search(mode: str, states: int, peak: int, branches: int,
-                   workers: int, seconds: float) -> None:
+def _record_search(states: int, peak: int, seconds: float) -> None:
     """Aggregate one completed profile search into the global registry.
 
     Called once per :func:`max_eligibility_profile` call (never per
     state), so the cost is a handful of locked increments — the
     disabled-path overhead gate in ``bench_observability.py`` covers
-    it.
+    it.  The ``mode`` label keeps its one value, ``sequential``, so
+    dashboards and scrapes written against it keep matching.
     """
     reg = global_registry()
     reg.counter(
         "search_profile_total",
         "max-eligibility-profile searches completed", ("mode",),
-    ).labels(mode).inc()
+    ).labels("sequential").inc()
     reg.counter(
         "search_states_expanded_total",
         "distinct ideal states expanded by profile searches", ("mode",),
-    ).labels(mode).inc(states)
+    ).labels("sequential").inc(states)
     reg.gauge(
         "search_frontier_peak",
         "largest BFS frontier seen by any profile search",
     ).set_max(peak)
-    if branches:
-        reg.counter(
-            "search_branches_total",
-            "first-level branches fanned out to worker processes",
-        ).inc(branches)
-        reg.gauge(
-            "search_workers_peak", "largest worker pool used"
-        ).set_max(workers)
     reg.histogram(
         "search_profile_seconds",
         "wall-clock duration of profile searches", ("mode",),
-    ).labels(mode).observe(seconds)
+    ).labels("sequential").observe(seconds)
 
 
 # ----------------------------------------------------------------------
@@ -233,37 +188,26 @@ def _level_bfs(
     children: list[list[int]],
     parents_mask: list[int],
     nonsink_mask: int,
-    start_exec: int,
-    start_elig: int,
-    start_t: int,
-    n: int,
+    init_eligible: int,
     state_budget: int,
-    name: str,
-    own_bit: int = 0,
-    own_mask: int = 0,
-) -> tuple[list[int], int, int, list[int]]:
-    """BFS the nonsink ideal lattice from one start state.
+) -> tuple[list[int], int, int, bool]:
+    """BFS the nonsink ideal lattice level by level from the empty
+    ideal.
 
-    Returns ``(maxima, states_seen, frontier_peak, owned_levels)`` with
-    ``maxima[k]`` the max eligible count over ideals of size
-    ``start_t + 1 + k``, up to size ``n``.
-
-    When ``own_bit`` is nonzero (parallel branch workers), the search
-    also counts, per level, the states this branch *owns*: those whose
-    lowest set first-move bit (under ``own_mask``, the initially
-    eligible nonsinks) equals ``own_bit``.  Every nonsink ideal is
-    owned by exactly one branch, so owned counts summed across
-    branches equal the deduplicated level sizes of the sequential
-    BFS — the strategy-independent effort number the registry reports.
+    Returns ``(maxima, states, frontier_peak, complete)``.
+    ``maxima[k]`` is the max eligible count over ideals of size
+    ``k + 1``, for every level the BFS finished.  ``states`` counts
+    each distinct ideal when first reached, the empty start ideal
+    included.  The BFS stops the moment ``states`` passes
+    ``state_budget``: the level it was in is dropped (its running
+    maximum is only a lower bound) and ``complete`` is False.
     """
-    frontier: dict[int, int] = {start_exec: start_elig}
+    frontier: dict[int, int] = {0: init_eligible}
     maxima: list[int] = []
-    owned_levels: list[int] = []
-    states_seen = 1
+    states = 1
     frontier_peak = 1
-    for _t in range(start_t + 1, n + 1):
+    for _t in range(nonsink_mask.bit_count()):
         nxt: dict[int, int] = {}
-        owned = 0
         for executed, eligible in frontier.items():
             avail = eligible & nonsink_mask
             while avail:
@@ -277,110 +221,15 @@ def _level_bfs(
                     if parents_mask[c] & ~new_exec == 0:
                         newly |= 1 << c
                 nxt[new_exec] = (eligible ^ bit) | newly
-                states_seen += 1
-                if own_bit:
-                    first_moves = new_exec & own_mask
-                    if first_moves & -first_moves == own_bit:
-                        owned += 1
-                if states_seen > state_budget:
-                    raise OptimalityError(
-                        f"ideal enumeration for dag {name!r} exceeded "
-                        f"state budget {state_budget}"
-                    )
-        if not nxt:
-            # No eligible nonsink although nonsinks remain: impossible
-            # in an acyclic dag (a minimal unexecuted nonsink is
-            # eligible), so this is a defensive invariant check.
-            raise OptimalityError(
-                f"dag {name!r}: no eligible nonsink at step {_t}"
-            )
+                states += 1
+                if states > state_budget:
+                    return maxima, states, frontier_peak, False
+        # nxt is never empty: in an acyclic dag some minimal
+        # unexecuted nonsink is eligible while nonsinks remain.
         maxima.append(max(m.bit_count() for m in nxt.values()))
-        owned_levels.append(owned)
         frontier = nxt
         frontier_peak = max(frontier_peak, len(frontier))
-    return maxima, states_seen, frontier_peak, owned_levels
-
-
-def _branch_worker(payload):
-    """Pool worker: explore one first-level branch of the ideal BFS.
-
-    ``payload`` carries the bitmask tables plus the index of the first
-    executed nonsink; returns a fully observable result::
-
-        (branch_profile, owned_levels, metrics_snapshot, trace_records)
-
-    ``branch_profile`` is ``[E(1), max E(2), ..., max E(n)]`` over
-    ideals containing the first node, and ``owned_levels[k]`` counts
-    the ideals of size ``k + 1`` this branch owns (see
-    :func:`_level_bfs`) — the start ideal ``{first}`` is always owned.
-
-    The worker records its telemetry into a *private* registry and
-    tracer (one per call, so reused pool processes never leak counts
-    between branches) and ships the snapshot/records back for the
-    coordinator to :meth:`~repro.obs.MetricsRegistry.merge` /
-    :meth:`~repro.obs.Tracer.adopt` — worker-side observability would
-    otherwise die with the process.  Module-level so it pickles under
-    every multiprocessing start method.
-    """
-    (children, parents_mask, nonsink_mask, init_eligible, first, n,
-     state_budget, name, first_mask, trace_enabled, request_id) = payload
-    from ..obs.tracing import detach_current_span
-
-    detach_current_span()  # forked workers inherit the fan-out span
-    # adopt the originating request: the branch's spans get stamped
-    # with the request that fanned it out, so ``/traces?request_id=``
-    # shows the whole parallel search.  Set/reset (not bare set) —
-    # the branch-retry fallback runs this function *in-process* on
-    # the coordinator thread, and pool processes are reused.
-    ctx_token = set_request_id(request_id)
-    try:
-        registry = MetricsRegistry()
-        tracer = Tracer(enabled=trace_enabled)
-        t0 = time.perf_counter()
-        bit = 1 << first
-        newly = 0
-        for c in children[first]:
-            if parents_mask[c] & ~bit == 0:
-                newly |= 1 << c
-        elig = (init_eligible ^ bit) | newly
-        with tracer.span("optimality.branch", dag=name,
-                         branch=first) as sp:
-            maxima, states, peak, owned_levels = _level_bfs(
-                children, parents_mask, nonsink_mask,
-                bit, elig, 1, n, state_budget, name,
-                own_bit=bit, own_mask=first_mask,
-            )
-            owned = [1] + owned_levels  # start ideal {first} is owned
-            sp.set(states=states, owned=sum(owned), frontier_peak=peak)
-        registry.counter(
-            "search_branch_total",
-            "parallel search branches explored by pool workers",
-        ).inc()
-        registry.counter(
-            "search_branch_states_total",
-            "raw states expanded by parallel branch workers "
-            "(includes cross-branch duplicates)",
-        ).inc(states)
-        registry.histogram(
-            "search_branch_seconds",
-            "wall-clock duration of one branch exploration",
-        ).observe(time.perf_counter() - t0)
-        return ([elig.bit_count()] + maxima, owned,
-                registry.snapshot(), tracer.records())
-    finally:
-        reset_request_id(ctx_token)
-
-
-def _iter_bits(mask: int):
-    """Yield set-bit indices of ``mask`` in ascending order."""
-    while mask:
-        bit = mask & -mask
-        mask ^= bit
-        yield bit.bit_length() - 1
-
-
-def _resolve_workers(workers: int | None, branches: int) -> int:
-    return max(1, min(workers or (os.cpu_count() or 1), branches))
+    return maxima, states, frontier_peak, True
 
 
 # ----------------------------------------------------------------------
@@ -392,8 +241,6 @@ def max_eligibility_profile(
     dag: ComputationDag,
     state_budget: int = DEFAULT_STATE_BUDGET,
     *,
-    parallel: bool = False,
-    workers: int | None = None,
     stats: SearchStats | None = None,
 ) -> list[int]:
     """Compute ``[M(0), M(1), ..., M(|N|)]`` for ``dag``.
@@ -404,22 +251,7 @@ def max_eligibility_profile(
     Parameters
     ----------
     state_budget:
-        Cap on distinct ideal states explored (per branch when
-        parallel).
-    parallel:
-        Fan the search out over first-level branches on a
-        ``multiprocessing`` pool.  The returned profile is
-        byte-identical to the sequential result (pointwise max is
-        order-insensitive), and so are the recorded ``search_*``
-        totals (ownership accounting dedups effort numbers across
-        branches; worker telemetry merges back into the process-wide
-        registry/tracer).  The trade-off is the *raw* duplicated work
-        — branches cannot share a visited set, visible as
-        ``search_branch_states_total`` — see ``docs/PERFORMANCE.md``
-        for when fan-out wins.
-    workers:
-        Pool size; defaults to ``os.cpu_count()`` clamped to the
-        branch count.
+        Cap on distinct ideal states explored.
     stats:
         Optional :class:`SearchStats` filled with instrumentation.
 
@@ -435,85 +267,28 @@ def max_eligibility_profile(
         _bit_tables(dag)
     )
     n = nonsink_mask.bit_count()
-
-    profile: list[int] = [init_eligible.bit_count()]
-    first_moves = list(_iter_bits(init_eligible & nonsink_mask))
-
-    if parallel and n > 1 and len(first_moves) > 1:
-        n_workers = _resolve_workers(workers, len(first_moves))
-        first_mask = init_eligible & nonsink_mask
-        tracer = global_tracer()
-        request_id = current_request_id()
-        payloads = [
-            (children, parents_mask, nonsink_mask, init_eligible,
-             first, n, state_budget, dag.name, first_mask,
-             tracer.enabled, request_id)
-            for first in first_moves
-        ]
-        with span("optimality.max_profile", dag=dag.name, nodes=total,
-                  mode="parallel"):
-            t_fanout = tracer.now()
-            results = _run_branches(payloads, n_workers)
-            if results is not None:
-                reg = global_registry()
-                merged = [0] * n
-                owned_per_level = [0] * n
-                for (branch_profile, owned, snapshot,
-                     trace_records) in results:
-                    # fold the worker's process-local telemetry into
-                    # the coordinator's registry/tracer: counters sum,
-                    # histograms add, spans re-root under this one.
-                    reg.merge(snapshot)
-                    if trace_records:
-                        tracer.adopt(trace_records, t_offset=t_fanout)
-                    for k, m in enumerate(branch_profile):
-                        if m > merged[k]:
-                            merged[k] = m
-                    for k, c in enumerate(owned):
-                        owned_per_level[k] += c
-                # ownership accounting: each nonsink ideal is owned by
-                # exactly one branch, so these sums are the sequential
-                # BFS's deduplicated level sizes — plus the empty
-                # start ideal the sequential path also counts.
-                states = 1 + sum(owned_per_level)
-                peak = max([1] + owned_per_level)
-        if results is not None:
-            profile.extend(merged)
-            for t in range(n + 1, total + 1):
-                profile.append(total - t)
-            if stats is not None:
-                stats.states_expanded = states
-                stats.frontier_peak = peak
-                stats.branches = len(first_moves)
-                stats.workers = n_workers
-            _record_search("parallel", states, peak, len(first_moves),
-                           n_workers, time.perf_counter() - t_start)
-            return profile
-        # pool unavailable in this environment: fall through to the
-        # (byte-identical) sequential path.
-
+    maxima: list[int] = []
+    states = peak = 1
     if n:
         with span("optimality.max_profile", dag=dag.name, nodes=total,
                   mode="sequential"):
-            maxima, states, peak, _owned = _level_bfs(
-                children, parents_mask, nonsink_mask,
-                0, init_eligible, 0, n, state_budget, dag.name,
+            maxima, states, peak, complete = _level_bfs(
+                children, parents_mask, nonsink_mask, init_eligible,
+                state_budget,
             )
-        profile.extend(maxima)
-    else:
-        states, peak = 1, 1
-
+            if not complete:
+                raise OptimalityError(
+                    f"ideal enumeration for dag {dag.name!r} exceeded "
+                    f"state budget {state_budget}"
+                )
     # Once all nonsinks are executed, every remaining node is an
     # eligible sink; executing sinks decrements the count by one.
-    for t in range(n + 1, total + 1):
-        profile.append(total - t)
+    profile = [init_eligible.bit_count(), *maxima]
+    profile.extend(total - t for t in range(n + 1, total + 1))
     if stats is not None:
         stats.states_expanded = states
         stats.frontier_peak = peak
-        stats.branches = 0
-        stats.workers = 0
-    _record_search("sequential", states, peak, 0, 0,
-                   time.perf_counter() - t_start)
+    _record_search(states, peak, time.perf_counter() - t_start)
     return profile
 
 
@@ -547,49 +322,17 @@ def partial_max_eligibility_profile(
     _nodes, children, parents_mask, nonsink_mask, init_eligible = (
         _bit_tables(dag)
     )
-    n = nonsink_mask.bit_count()
-    prefix: list[int] = [init_eligible.bit_count()]
-    states_seen = 1
-    frontier_peak = 1
-    complete = True
-    frontier: dict[int, int] = {0: init_eligible}
-    for _t in range(1, n + 1):
-        nxt: dict[int, int] = {}
-        exhausted = False
-        for executed, eligible in frontier.items():
-            avail = eligible & nonsink_mask
-            while avail:
-                bit = avail & -avail
-                avail ^= bit
-                new_exec = executed | bit
-                if new_exec in nxt:
-                    continue
-                newly = 0
-                for c in children[bit.bit_length() - 1]:
-                    if parents_mask[c] & ~new_exec == 0:
-                        newly |= 1 << c
-                nxt[new_exec] = (eligible ^ bit) | newly
-                states_seen += 1
-                if states_seen > state_budget:
-                    exhausted = True
-                    break
-            if exhausted:
-                break
-        if exhausted or not nxt:
-            complete = False
-            break
-        prefix.append(max(m.bit_count() for m in nxt.values()))
-        frontier = nxt
-        frontier_peak = max(frontier_peak, len(frontier))
-    else:
+    maxima, states, peak, complete = _level_bfs(
+        children, parents_mask, nonsink_mask, init_eligible, state_budget,
+    )
+    prefix = [init_eligible.bit_count(), *maxima]
+    if complete:
         # all nonsink levels enumerated: the sink tail is exact.
-        for t in range(n + 1, total + 1):
-            prefix.append(total - t)
+        n = nonsink_mask.bit_count()
+        prefix.extend(total - t for t in range(n + 1, total + 1))
     if stats is not None:
-        stats.states_expanded = states_seen
-        stats.frontier_peak = frontier_peak
-        stats.branches = 0
-        stats.workers = 0
+        stats.states_expanded = states
+        stats.frontier_peak = peak
     global_registry().counter(
         "search_partial_profile_total",
         "budgeted (anytime) profile searches", ("outcome",),
@@ -639,96 +382,22 @@ def eligibility_upper_bound(dag: ComputationDag) -> list[int]:
     return bound
 
 
-def _record_pool_fallback(reason: str, exc: BaseException,
-                          branch: int | None = None) -> None:
-    """Make a pool degradation observable: count it under
-    ``search_pool_fallbacks_total{reason=...}`` and log it, instead of
-    silently eating the failure."""
-    global_registry().counter(
-        "search_pool_fallbacks_total",
-        "parallel-search pool failures absorbed by graceful "
-        "degradation (in-process retry or sequential fallback)",
-        ("reason",),
-    ).labels(reason).inc()
-    detail = "" if branch is None else f" (branch {branch})"
-    _LOG.warning(
-        "parallel search degraded [%s]%s: %s; continuing in-process "
-        "(byte-identical result)", reason, detail, exc,
-    )
-    # the result is byte-identical, so nothing downstream will ever
-    # flag this — capture the black box while the context is hot
-    from ..obs.flightrecorder import global_flight_recorder
-    global_flight_recorder().trigger(
-        "pool-fallback",
-        request_id=current_request_id(),
-        detail=f"{reason}{detail}: {type(exc).__name__}: {exc}",
-    )
-
-
-def _run_branches(payloads, n_workers):
-    """Map :func:`_branch_worker` over ``payloads`` on a process pool,
-    degrading gracefully instead of failing or hiding failures:
-
-    * pool *creation* fails (platforms that cannot start worker
-      processes — restricted sandboxes) → a ``pool-unavailable``
-      fallback is recorded and ``None`` returned; the caller takes the
-      byte-identical sequential path;
-    * one branch's pool *execution* dies of a transport-level error (a
-      worker killed mid-flight, a broken pipe) → a ``branch-retry``
-      fallback is recorded and that branch re-runs in-process — the
-      worker is a pure function of its payload, so the retried result
-      is byte-identical;
-    * an error raised by the worker's own logic (an
-      :class:`OptimalityError` over budget, a malformed payload)
-      propagates — degradation must never mask real bugs.
-    """
-    import multiprocessing
-
-    try:
-        ctx = multiprocessing.get_context()
-        pool = ctx.Pool(processes=n_workers)
-    except (OSError, ValueError, ImportError) as exc:
-        _record_pool_fallback("pool-unavailable", exc)
-        return None
-    results = []
-    with pool:
-        handles = [
-            pool.apply_async(_branch_worker, (p,)) for p in payloads
-        ]
-        for payload, handle in zip(payloads, handles):
-            try:
-                results.append(handle.get())
-            except OptimalityError:
-                raise
-            except (OSError, EOFError,
-                    multiprocessing.ProcessError) as exc:
-                _record_pool_fallback("branch-retry", exc,
-                                      branch=payload[4])
-                results.append(_branch_worker(payload))
-    return results
-
-
 def is_ic_optimal(
     schedule: Schedule,
     max_profile: Sequence[int] | None = None,
     state_budget: int = DEFAULT_STATE_BUDGET,
-    *,
-    parallel: bool = False,
-    workers: int | None = None,
 ) -> bool:
     """True iff ``schedule`` attains the maximum eligible count at
     every step of the execution.
 
     ``max_profile`` may be passed to reuse a previously computed
     ceiling (it must come from the same dag); otherwise the ceiling is
-    computed here (``parallel=``/``workers=`` forwarded).
+    computed here.
     """
     ceiling = (
         list(max_profile)
         if max_profile is not None
-        else max_eligibility_profile(
-            schedule.dag, state_budget, parallel=parallel, workers=workers
-        )
+        else max_eligibility_profile(schedule.dag, state_budget)
     )
     prof = schedule.profile
     if len(prof) != len(ceiling):
@@ -743,8 +412,6 @@ def find_ic_optimal_schedule(
     state_budget: int = DEFAULT_STATE_BUDGET,
     name: str = "ic-optimal",
     *,
-    parallel: bool = False,
-    workers: int | None = None,
     max_profile: Sequence[int] | None = None,
 ) -> Schedule | None:
     """Search for an IC-optimal schedule of ``dag``.
@@ -758,8 +425,7 @@ def find_ic_optimal_schedule(
     dead states are memoized by their canonical frontier key so each
     ideal is expanded at most once.  Candidate nodes are tried in
     ascending node-index (insertion) order, so the returned schedule
-    is deterministic — ``parallel=`` only accelerates the ceiling
-    computation and never changes the result.
+    is deterministic.
 
     ``max_profile`` may supply a precomputed ceiling (e.g. from
     :mod:`repro.core.profile_cache`).
@@ -767,9 +433,7 @@ def find_ic_optimal_schedule(
     if max_profile is not None:
         ceiling = list(max_profile)
     else:
-        ceiling = max_eligibility_profile(
-            dag, state_budget, parallel=parallel, workers=workers
-        )
+        ceiling = max_eligibility_profile(dag, state_budget)
     nodes, children, parents_mask, nonsink_mask, init_eligible = (
         _bit_tables(dag)
     )
@@ -819,17 +483,9 @@ def find_ic_optimal_schedule(
 def ic_optimal_exists(
     dag: ComputationDag,
     state_budget: int = DEFAULT_STATE_BUDGET,
-    *,
-    parallel: bool = False,
-    workers: int | None = None,
 ) -> bool:
     """Decide whether ``dag`` admits an IC-optimal schedule."""
-    return (
-        find_ic_optimal_schedule(
-            dag, state_budget, parallel=parallel, workers=workers
-        )
-        is not None
-    )
+    return find_ic_optimal_schedule(dag, state_budget) is not None
 
 
 def all_ic_optimal_nonsink_orders(

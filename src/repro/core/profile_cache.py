@@ -264,24 +264,18 @@ class ProfileCache:
         self,
         dag: ComputationDag,
         state_budget: int = DEFAULT_STATE_BUDGET,
-        *,
-        parallel: bool = False,
-        workers: int | None = None,
     ) -> list[int]:
         """``max_eligibility_profile(dag, ...)``, memoized.
 
         A hit returns a copy of the stored profile (callers may mutate
-        their list freely).  On a miss the profile is computed with the
-        given search options and stored; the stored value never depends
-        on ``parallel`` (both paths produce identical profiles).
+        their list freely).  On a miss the profile is computed and
+        stored.
         """
         key = (dag.fingerprint(), "profile")
         cached = self._get(key)
         if cached is not None:
             return list(cached)
-        profile = max_eligibility_profile(
-            dag, state_budget, parallel=parallel, workers=workers
-        )
+        profile = max_eligibility_profile(dag, state_budget)
         self._put(key, tuple(profile))
         return profile
 
@@ -290,9 +284,6 @@ class ProfileCache:
         dag: ComputationDag,
         state_budget: int = DEFAULT_STATE_BUDGET,
         name: str = "ic-optimal",
-        *,
-        parallel: bool = False,
-        workers: int | None = None,
     ) -> Schedule | None:
         """``find_ic_optimal_schedule(dag, ...)``, memoized.
 
@@ -313,11 +304,7 @@ class ProfileCache:
             dag,
             state_budget,
             name,
-            parallel=parallel,
-            workers=workers,
-            max_profile=self.max_profile(
-                dag, state_budget, parallel=parallel, workers=workers
-            ),
+            max_profile=self.max_profile(dag, state_budget),
         )
         self._put(key, _NO_SCHEDULE if sched is None else tuple(sched.order))
         return sched

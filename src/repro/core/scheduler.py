@@ -28,7 +28,6 @@ status precisely.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -157,13 +156,11 @@ def greedy_schedule(dag: ComputationDag, name: str = "greedy") -> Schedule:
 
 def schedule_dag(
     target: ComputationDag | CompositionChain,
-    *args,
+    *,
     strategy: str = "auto",
     budget: int | None = None,
     exhaustive_limit: int = 24,
     state_budget: int = 500_000,
-    parallel: bool = False,
-    workers: int | None = None,
     cache: ProfileCache | bool = True,
     library=True,
 ) -> SchedulingResult:
@@ -171,10 +168,8 @@ def schedule_dag(
 
     The stable entry point for this operation is
     :func:`repro.api.schedule`; ``schedule_dag`` remains supported,
-    but its tuning options are keyword-only — the historical
-    positional forms ``schedule_dag(dag, limit)`` and
-    ``schedule_dag(dag, limit, budget)`` still work and emit a
-    :class:`DeprecationWarning` (see ``docs/API_MIGRATION.md``).
+    and its tuning options are keyword-only (the historical positional
+    forms were removed; see ``docs/API_MIGRATION.md``).
 
     Parameters
     ----------
@@ -198,12 +193,6 @@ def schedule_dag(
     state_budget:
         Ideal-state cap for the exhaustive search; if exceeded the
         strategy falls back (anytime under a ``budget``, else greedy).
-    parallel:
-        Fan the exhaustive ceiling computation out over a process pool
-        (see :func:`~repro.core.optimality.max_eligibility_profile`).
-        Never changes the result — only how fast it arrives.
-    workers:
-        Pool size for ``parallel=True``; defaults to ``os.cpu_count()``.
     cache:
         ``True`` (default) memoizes exhaustive results in the
         process-wide :func:`~repro.core.profile_cache
@@ -220,22 +209,6 @@ def schedule_dag(
     the certificate granted) in the process-wide metrics registry and
     opens a ``scheduler.schedule_dag`` span when tracing is enabled.
     """
-    if args:
-        warnings.warn(
-            "passing exhaustive_limit/state_budget to schedule_dag "
-            "positionally is deprecated; pass them as keywords (or "
-            "use repro.api.schedule) — see docs/API_MIGRATION.md",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if len(args) > 2:
-            raise TypeError(
-                f"schedule_dag takes at most 3 positional arguments "
-                f"({1 + len(args)} given)"
-            )
-        exhaustive_limit = args[0]
-        if len(args) == 2:
-            state_budget = args[1]
     from .certify import certify
 
     name = target.dag.name if isinstance(target, CompositionChain) \
@@ -247,8 +220,6 @@ def schedule_dag(
             budget=budget,
             exhaustive_limit=exhaustive_limit,
             state_budget=state_budget,
-            parallel=parallel,
-            workers=workers,
             cache=cache,
             library=library,
         )

@@ -6,18 +6,17 @@ library (exhaustive search, certification cache, scheduler front end,
 sim server) and exposed through the CLI (``repro stats``,
 ``--metrics``, ``--trace``, ``repro serve-metrics``, ``repro
 watch``).  See ``docs/OBSERVABILITY.md`` for the metric catalog, the
-trace schema, the cross-process merge semantics, the HTTP endpoints,
+trace schema, the process scope of the telemetry, the HTTP endpoints,
 and the measured overhead.
 
 Five pieces:
 
 * :class:`MetricsRegistry` — thread-safe counters / gauges /
-  histograms with labels, snapshot/reset/merge, and JSON + Prometheus
-  text exposition (:mod:`repro.obs.metrics`);
+  histograms with labels, snapshot/reset, and JSON + Prometheus text
+  exposition (:mod:`repro.obs.metrics`);
 * :class:`Tracer` — structured span/event records with contextvar
-  nesting, a bounded ring buffer, JSONL export, cross-process
-  adoption, and a no-op fast path when disabled
-  (:mod:`repro.obs.tracing`);
+  nesting, a bounded ring buffer, JSONL export, and a no-op fast path
+  when disabled (:mod:`repro.obs.tracing`);
 * :func:`span` / :func:`profiled` — the single instrumentation API
   the rest of the library uses (:mod:`repro.obs.instrument`);
 * :class:`ObsServer` — the thread-based HTTP exposition service

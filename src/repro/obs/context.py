@@ -7,8 +7,7 @@ causally touches:
 
 * every **trace span and event** recorded while the request is active
   carries ``attrs["request"]`` (stamped by :mod:`repro.obs.tracing`
-  at append time, so adopted pool-worker records keep the stamp of
-  the request that fanned them out);
+  at append time);
 * every **schedule frame** captured during the request's simulation
   carries ``request`` (:mod:`repro.obs.observatory`);
 * **metric exemplars** on the request/phase histograms name the last
@@ -19,13 +18,12 @@ causally touches:
 
 Propagation uses one :class:`contextvars.ContextVar` — the same
 mechanism the tracer uses for span nesting, so the ID is correct
-across threads and async tasks without caller bookkeeping.  Two
-boundaries need explicit hand-off, both handled by the layers that
-cross them: the service pipeline captures the ID when a simulation
-request is queued and re-binds it in the worker thread
-(:mod:`repro.service.pipeline`), and the parallel search ships it
-inside each branch payload so pool workers stamp their spans with
-the originating request (:mod:`repro.core.optimality`).
+across threads and async tasks without caller bookkeeping.  One
+boundary needs an explicit hand-off, made by the layer that crosses
+it: the service pipeline captures the ID when a simulation request is
+queued and re-binds it in the worker thread
+(:mod:`repro.service.pipeline`).  Nothing a request touches runs in
+another process.
 
 The disabled-is-free contract holds trivially: code that never binds
 a request ID never pays more than a default :meth:`ContextVar.get`

@@ -197,8 +197,6 @@ def render_dashboard(stats: dict) -> str:
         ("states expanded",
          _fmt(_value(metrics, "search_states_expanded_total"))),
         ("frontier peak", _fmt(_value(metrics, "search_frontier_peak"))),
-        ("branch raw states",
-         _fmt(_value(metrics, "search_branch_states_total"))),
         ("cache lookups",
          _fmt(_value(metrics, "profile_cache_lookups_total"))),
         ("scheduler requests",

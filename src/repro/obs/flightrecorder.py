@@ -1,15 +1,14 @@
 """The degradation flight recorder: an always-on black box.
 
 When something goes visibly wrong — the pipeline degrades a search to
-a fallback certificate, a request dies with a 5xx, the parallel
-search falls back from its process pool, the fault-injecting
-simulator quarantines a client — the :class:`FlightRecorder` dumps a
-**correlated bundle** to disk: the triggering request ID, the recent
-trace spans, the counter delta since the previous dump, the newest
-schedule frames per dag, and the fault events visible in them.  The
-bundle is everything needed to answer "what was this process doing
-when request X degraded?" after the fact, without having had debug
-logging on.
+a fallback certificate, a request dies with a 5xx, the
+fault-injecting simulator quarantines a client — the
+:class:`FlightRecorder` dumps a **correlated bundle** to disk: the
+triggering request ID, the recent trace spans, the counter delta since
+the previous dump, the newest schedule frames per dag, and the fault
+events visible in them.  The bundle is everything needed to answer
+"what was this process doing when request X degraded?" after the
+fact, without having had debug logging on.
 
 Design constraints:
 
@@ -20,8 +19,8 @@ Design constraints:
   request), and uncorrelated triggers rate-limited to one per
   :attr:`min_interval_seconds`.
 * **Off the hot path.**  Triggers fire only where failures are
-  already being counted (degradations, 5xx responses, pool
-  fallbacks, quarantines) — the happy path never calls in.
+  already being counted (degradations, 5xx responses, quarantines) —
+  the happy path never calls in.
 * **Lazy disk.**  The dump directory (``tempfile.mkdtemp`` under the
   system temp dir unless configured) is created on the first dump,
   so a process that never fails never writes.

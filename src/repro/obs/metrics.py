@@ -27,13 +27,11 @@ Design constraints (see ``docs/OBSERVABILITY.md``):
   and help text are escaped per the format spec (``\\``, ``"``,
   newlines), and ``# HELP`` / ``# TYPE`` are emitted exactly once per
   metric family.
-* **Mergeable snapshots.**  :meth:`MetricsRegistry.merge` folds the
-  snapshot of another registry — typically shipped back from a
-  ``multiprocessing`` pool worker — into this one: counters sum,
-  histograms add bucket-wise, gauges take the value with the latest
-  wall-clock write (each gauge carries an ``updated_at`` timestamp in
-  its snapshot for exactly this).  See "Cross-process semantics" in
-  ``docs/OBSERVABILITY.md``.
+* **One process, one registry.**  Every recording happens in the
+  process that owns the registry and nothing is shipped between
+  processes, so counter, gauge and histogram-bucket values in a
+  snapshot are a pure function of the recorded history (see "Process
+  scope" in ``docs/OBSERVABILITY.md``).
 """
 
 from __future__ import annotations
@@ -192,13 +190,8 @@ class _Metric:
         raise NotImplementedError
 
     def _extra(self) -> dict:
-        """Extra per-leaf snapshot fields (e.g. gauge timestamps)."""
+        """Extra per-leaf snapshot fields (e.g. histogram exemplars)."""
         return {}
-
-    def _merge_value(self, value, extra: dict) -> None:
-        """Fold one snapshot leaf into this leaf (merge semantics are
-        per metric kind; see :meth:`MetricsRegistry.merge`)."""
-        raise NotImplementedError
 
     def prometheus_lines(self) -> list[str]:
         lines = []
@@ -254,29 +247,19 @@ class Counter(_Metric):
     def _value(self):
         return self._count
 
-    def _merge_value(self, value, extra: dict) -> None:
-        self.inc(value)
-
     def _reset(self) -> None:
         with self._lock:
             self._count = 0
 
 
 class Gauge(_Metric):
-    """A value that can go up and down (or track a running max).
-
-    Every write stamps the gauge with the wall-clock time
-    (``time.time()``); the stamp travels in snapshots as
-    ``updated_at`` so cross-process merges can resolve conflicting
-    gauge values by recency (last write wins).
-    """
+    """A value that can go up and down (or track a running max)."""
 
     kind = "gauge"
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._gauge = 0.0
-        self._updated = 0.0
 
     def _make_child(self) -> "Gauge":
         return Gauge("", _lock=self._lock)
@@ -284,53 +267,31 @@ class Gauge(_Metric):
     def set(self, value: float) -> None:
         with self._lock:
             self._gauge = value
-            self._updated = time.time()
 
     def inc(self, amount: float = 1) -> None:
         with self._lock:
             self._gauge += amount
-            self._updated = time.time()
 
     def dec(self, amount: float = 1) -> None:
         with self._lock:
             self._gauge -= amount
-            self._updated = time.time()
 
     def set_max(self, value: float) -> None:
         """Keep the running maximum of observed values."""
         with self._lock:
             if value > self._gauge:
                 self._gauge = value
-                self._updated = time.time()
 
     @property
     def value(self) -> float:
         return self._gauge
 
-    @property
-    def updated_at(self) -> float:
-        """Wall-clock time of the last write (0.0 = never written)."""
-        return self._updated
-
     def _value(self):
         return self._gauge
-
-    def _extra(self) -> dict:
-        return {"updated_at": self._updated}
-
-    def _merge_value(self, value, extra: dict) -> None:
-        ts = extra.get("updated_at", 0.0)
-        with self._lock:
-            # last write wins; ties go to the incoming snapshot so
-            # merge order defines recency when clocks collide.
-            if ts >= self._updated:
-                self._gauge = value
-                self._updated = ts
 
     def _reset(self) -> None:
         with self._lock:
             self._gauge = 0.0
-            self._updated = 0.0
 
 
 class Histogram(_Metric):
@@ -427,25 +388,6 @@ class Histogram(_Metric):
             if self._exemplar is None:
                 return {}
             return {"exemplar": dict(self._exemplar)}
-
-    def _merge_value(self, value, extra: dict) -> None:
-        incoming = value["buckets"]
-        expected = [_format_value(b) for b in self.bounds]
-        if list(incoming) != expected:
-            raise ValueError(
-                f"histogram {self.name!r} bucket bounds "
-                f"{list(incoming)} do not match {expected}"
-            )
-        with self._lock:
-            for i, c in enumerate(incoming.values()):
-                self._counts[i] += c
-            self._counts[-1] += value["inf"]
-            self._sum += value["sum"]
-            ex = extra.get("exemplar")
-            if ex is not None and (
-                    self._exemplar is None
-                    or ex.get("ts", 0.0) >= self._exemplar.get("ts", 0.0)):
-                self._exemplar = dict(ex)
 
     def _sample_lines(self, name, labelnames, labelvalues) -> list[str]:
         lines = []
@@ -555,67 +497,6 @@ class MetricsRegistry:
             metrics = list(self._metrics.values())
         for m in metrics:
             m.reset()
-
-    # -- cross-process merge -------------------------------------------
-    def merge(self, snapshot: dict) -> None:
-        """Fold another registry's :meth:`snapshot` into this one.
-
-        This is the cross-process aggregation primitive: a pool worker
-        records into its own private registry, ships
-        ``registry.snapshot()`` back with its result (snapshots are
-        plain JSON-able dicts, so they pickle under every
-        multiprocessing start method), and the coordinating process
-        merges every worker delta here.  Merge semantics per kind:
-
-        * **counter** — values sum (a count of events is additive
-          across processes);
-        * **gauge** — last write wins, decided by each gauge's
-          ``updated_at`` wall-clock stamp (ties go to the incoming
-          snapshot, so merge order defines recency);
-        * **histogram** — bucket-wise addition (including the ``+Inf``
-          bucket) and summed ``sum``; bucket bounds must match.
-
-        Metrics absent locally are declared from the snapshot's type,
-        help, label schema, and (for histograms) bucket bounds, so
-        merging into a fresh registry reproduces the source exactly.
-        Raises ``ValueError`` when a name is already registered with a
-        conflicting type, label schema, or histogram bounds.
-        """
-        for name, data in sorted(snapshot.items()):
-            kind = data.get("type")
-            help = data.get("help", "")
-            labelnames = tuple(data.get("labelnames", ()))
-            if data.get("series"):
-                first_value = data["series"][0]["value"]
-            else:
-                first_value = data.get("value")
-            if kind == "counter":
-                metric = self.counter(name, help, labelnames)
-            elif kind == "gauge":
-                metric = self.gauge(name, help, labelnames)
-            elif kind == "histogram":
-                if first_value is None:
-                    # labeled histogram with no children yet: nothing
-                    # to merge and no bounds to recover; skip.
-                    continue
-                bounds = [float(b) for b in first_value["buckets"]]
-                metric = self.histogram(name, help, labelnames,
-                                        buckets=bounds)
-            else:
-                raise ValueError(
-                    f"cannot merge metric {name!r} of unknown "
-                    f"kind {kind!r}"
-                )
-            if labelnames:
-                for entry in data.get("series", ()):
-                    values = tuple(
-                        str(entry["labels"][n]) for n in labelnames
-                    )
-                    metric.labels(*values)._merge_value(
-                        entry["value"], entry
-                    )
-            elif "value" in data:
-                metric._merge_value(data["value"], data)
 
     # -- exposition ----------------------------------------------------
     def snapshot(self) -> dict:

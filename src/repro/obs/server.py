@@ -571,8 +571,7 @@ class ObsServer(HTTPServiceBase):
             records, latest = tracer.records(), tracer.seq
         if "request_id" in query:
             # correlation view: only the records stamped with this
-            # request (spans/events it causally touched, including
-            # adopted pool-worker branches)
+            # request (spans/events it causally touched)
             wanted = query["request_id"][0]
             records = [r for r in records
                        if r.attrs.get("request") == wanted]

@@ -140,7 +140,11 @@ def _sum_histogram(data: dict, wanted) -> Histogram | None:
             if not bounds:
                 continue
             out = Histogram(buckets=bounds)
-        out._merge_value(value, {})
+        # every series of one histogram shares its bounds
+        for i, count in enumerate(value["buckets"].values()):
+            out._counts[i] += count
+        out._counts[-1] += value["inf"]
+        out._sum += value["sum"]
     return out
 
 

@@ -35,13 +35,9 @@ import json
 import threading
 import time
 from collections import deque
-from collections.abc import Sequence
 from typing import Any, NamedTuple
 
 from .context import current_request_id
-
-#: sentinel distinguishing "no parent given" from "top-level" in adopt().
-_UNSET = object()
 
 __all__ = [
     "TraceEvent",
@@ -107,18 +103,6 @@ _NOOP_SPAN = _NoopSpan()
 _current_span: contextvars.ContextVar[int | None] = contextvars.ContextVar(
     "repro_obs_current_span", default=None
 )
-
-
-def detach_current_span() -> None:
-    """Clear the context-local span nesting.
-
-    Pool workers call this first: under the ``fork`` start method a
-    worker inherits the forking process's context — including the span
-    that was open at fan-out time — and a span id from *another
-    process* must never parent records in this one (it would collide
-    with the worker's own ids and corrupt nesting on adoption).
-    """
-    _current_span.set(None)
 
 
 class _LiveSpan:
@@ -218,60 +202,6 @@ class Tracer:
                 self.dropped += 1
             self._buf.append(rec)
             self._appended += 1
-
-    # -- adoption ------------------------------------------------------
-    def now(self) -> float:
-        """Seconds since this tracer's epoch (the ``t`` timebase)."""
-        return time.perf_counter() - self._epoch
-
-    def adopt(
-        self,
-        records: "Sequence[TraceEvent]",
-        *,
-        t_offset: float = 0.0,
-        parent: int | None | object = _UNSET,
-    ) -> int:
-        """Graft trace records from another tracer into this one.
-
-        This is the cross-process counterpart of
-        :meth:`~repro.obs.metrics.MetricsRegistry.merge`: a pool
-        worker records spans/events into its own tracer and ships
-        ``tracer.records()`` back with its result; the coordinating
-        process adopts them here.  Adoption rewrites the records so
-        they are indistinguishable from native ones:
-
-        * every record gets a fresh id from this tracer's counter (the
-          worker's ids would collide with local ones);
-        * parent pointers *within* the adopted batch are remapped to
-          the fresh ids; records whose parent is ``None`` or missing
-          from the batch (e.g. dropped by the worker's ring buffer)
-          are attached under ``parent`` — by default the caller's
-          current span, so worker spans nest where the fan-out
-          happened;
-        * timestamps are shifted by ``t_offset`` — pass
-          :meth:`now` captured at fan-out time to place worker records
-          on this tracer's timeline (``perf_counter`` epochs are not
-          comparable across processes, so this is an alignment to the
-          fan-out instant, not a clock sync).
-
-        Adoption is unconditional (it does not check ``enabled``):
-        the decision to trace was made by whoever recorded.  Returns
-        the number of records adopted.
-        """
-        if parent is _UNSET:
-            parent = _current_span.get()
-        # two passes: spans are recorded child-before-parent (on exit),
-        # so ids must all be assigned before parents can be remapped.
-        id_map = {rec.id: next(self._ids) for rec in records}
-        for rec in records:
-            self._append(
-                rec._replace(
-                    id=id_map[rec.id],
-                    parent=id_map.get(rec.parent, parent),
-                    t=rec.t + t_offset,
-                )
-            )
-        return len(records)
 
     # -- lifecycle -----------------------------------------------------
     def enable(self) -> None:

@@ -120,7 +120,6 @@ class PipelineConfig:
     #: scheduling options forwarded to :func:`repro.api.schedule`
     exhaustive_limit: int = 24
     state_budget: int = 500_000
-    parallel: bool = False
     #: certification strategy forwarded to :func:`repro.api.schedule`
     strategy: str = "auto"
     #: anytime state budget; when set, failed certifications degrade
@@ -339,7 +338,6 @@ class RequestPipeline:
                 budget=cfg.budget,
                 exhaustive_limit=cfg.exhaustive_limit,
                 state_budget=cfg.state_budget,
-                parallel=cfg.parallel,
             )
             how = "search"
         except Exception as exc:

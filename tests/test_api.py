@@ -1,12 +1,13 @@
-"""Tests for the stable ``repro.api`` v1 facade and the deprecation
-shim over the legacy entry points (see docs/API_MIGRATION.md):
+"""Tests for the stable ``repro.api`` v1 facade and the retired
+deprecation shims of the legacy entry points (see
+docs/API_MIGRATION.md):
 
 * every verb returns a frozen, picklable result dataclass with
   JSON-native headline fields;
 * the ``simulate`` regimes agree with the direct library calls they
   wrap, number for number;
-* the shim (positional tuning args of ``core.schedule_dag``) warns
-  exactly once per call and delegates with identical behavior.
+* ``core.schedule_dag`` takes its tuning options as keywords only and
+  never warns.
 """
 
 import dataclasses
@@ -173,31 +174,20 @@ class TestResultContracts:
 
 
 class TestDeprecationShims:
-    def test_schedule_dag_positional_warns_and_maps(self):
-        dag = out_mesh_dag(3)
-        with pytest.warns(DeprecationWarning) as rec:
-            legacy = schedule_dag(dag, 24, 500_000)
-        assert len(rec) == 1
-        modern = schedule_dag(dag, exhaustive_limit=24,
-                              state_budget=500_000)
-        assert legacy.certificate is modern.certificate
-        assert legacy.schedule.order == modern.schedule.order
+    """The positional ``schedule_dag`` shim is gone: its tuning
+    options are keyword-only."""
 
-    def test_schedule_dag_positional_limit_respected(self):
-        # the mapped positional argument must actually take effect:
+    def test_schedule_dag_limit_respected(self):
         # limit 0 bars the exhaustive search, so an *unrecognized* dag
         # degrades to the heuristic
-        from repro.blocks import block
-
         dag, _ = block("N", 8)
-        with pytest.warns(DeprecationWarning):
-            res = schedule_dag(dag, 0)
+        res = schedule_dag(dag, exhaustive_limit=0)
         assert res.certificate.value == "heuristic"
 
     def test_schedule_dag_too_many_positionals(self):
-        with pytest.warns(DeprecationWarning), \
-                pytest.raises(TypeError):
-            schedule_dag(out_mesh_dag(3), 24, 500_000, True)
+        # the target is the only positional argument
+        with pytest.raises(TypeError):
+            schedule_dag(out_mesh_dag(3), 24)
 
     def test_schedule_dag_keyword_form_warns_never(self):
         with warnings.catch_warnings():

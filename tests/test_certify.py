@@ -11,6 +11,7 @@ import textwrap
 
 import pytest
 
+from repro import api
 from repro.core import (
     BlockCertificateLibrary,
     Certificate,
@@ -211,6 +212,34 @@ class TestStrategies:
         res = schedule_dag(mesh.out_mesh_dag(4), strategy="heuristic")
         assert res.certificate is Certificate.HEURISTIC
         assert res.kind == "heuristic"
+
+
+class TestAutoAfterBlockOverBudget:
+    """A block whose lattice search passes ``state_budget`` inside
+    decomposition means "did not decompose" under ``auto``: the ladder
+    (exhaustive residual, anytime under a ``budget``, heuristic) still
+    runs.  ``library`` keeps cached blocks from short-cutting the
+    search."""
+
+    def test_anytime_bounds_bracket_true_loss(self, library):
+        dag = mesh.out_mesh_dag(6)
+        res = api.schedule(dag, state_budget=20, budget=1000, cache=False)
+        assert res.certificate == "anytime"
+        ceiling = max_eligibility_profile(dag)
+        true_loss = max(m - e for e, m in zip(res.profile, ceiling))
+        lo, hi = res.bounds
+        assert 0 <= lo <= true_loss <= hi
+
+    def test_without_budget_heuristic(self, library):
+        res = api.schedule(mesh.out_mesh_dag(6), state_budget=20,
+                           cache=False)
+        assert res.certificate == "heuristic"
+        assert res.bounds is None
+
+    def test_compositional_still_raises(self, library):
+        with pytest.raises(OptimalityError, match="state budget"):
+            api.schedule(mesh.out_mesh_dag(6), strategy="compositional",
+                         state_budget=20, cache=False)
 
 
 class TestBlockLibrary:

@@ -5,6 +5,7 @@ API, and the wiring through search, cache, scheduler, and simulation.
 """
 
 import json
+import time
 
 import pytest
 
@@ -104,28 +105,23 @@ class TestRegistryArithmetic:
         assert reg.value("a") == 0
         assert reg.counter("a") is c
 
-    def test_gauge_stamps_updated_at(self):
-        g = MetricsRegistry().gauge("depth")
-        assert g.updated_at == 0.0  # never written
-        g.set(3)
-        first = g.updated_at
-        assert first > 0
-        g.inc()
-        assert g.updated_at >= first
-        # set_max only stamps when the value actually changes
-        stamped = g.updated_at
-        g.set_max(1)
-        assert g.updated_at == stamped
+    def test_gauge_json_is_byte_stable(self):
+        # a snapshot is a pure function of the recorded history: no
+        # wall-clock stamp rides along with a gauge
+        def history():
+            reg = MetricsRegistry()
+            g = reg.gauge("depth", "queue depth", ("q",))
+            g.labels("a").set(3)
+            g.labels("a").inc()
+            g.labels("b").set_max(2.5)
+            return reg.to_json()
 
-    def test_gauge_snapshot_carries_updated_at(self):
-        reg = MetricsRegistry()
-        reg.gauge("g").set(1.5)
-        snap = reg.snapshot()["g"]
-        assert snap["value"] == 1.5
-        assert snap["updated_at"] > 0
-        # counters stay timestamp-free
-        reg.counter("c").inc()
-        assert "updated_at" not in reg.snapshot()["c"]
+        first = history()
+        time.sleep(0.01)
+        assert history() == first
+        assert json.loads(first)["depth"]["series"][0] == {
+            "labels": {"q": "a"}, "value": 4,
+        }
 
 
 class TestLabeledMetrics:
@@ -208,22 +204,17 @@ class TestHistogram:
         assert o.quantile(1.0) == 2.0
 
     def test_merged_histogram_quantiles(self):
-        # quantiles over a merged snapshot reflect the combined
-        # distribution (the pool-worker merge path)
+        # quantiles over a two-humped distribution: each half's
+        # quantiles interpolate inside its own bucket
         bounds = (10, 20, 30, 40)
-        a = MetricsRegistry()
-        b = MetricsRegistry()
-        ha = a.histogram("lat", buckets=bounds)
-        hb = b.histogram("lat", buckets=bounds)
+        h = MetricsRegistry().histogram("lat", buckets=bounds)
         for _ in range(3):
-            ha.observe(5)
-            hb.observe(35)
-        a.merge(b.snapshot())
-        merged = a.histogram("lat", buckets=bounds)
-        assert merged.count == 6
-        assert merged.sum == pytest.approx(120.0)
-        assert merged.quantile(0.25) == pytest.approx(5.0)
-        assert merged.quantile(0.75) == pytest.approx(35.0)
+            h.observe(5)
+            h.observe(35)
+        assert h.count == 6
+        assert h.sum == pytest.approx(120.0)
+        assert h.quantile(0.25) == pytest.approx(5.0)
+        assert h.quantile(0.75) == pytest.approx(35.0)
 
 
 class TestExposition:

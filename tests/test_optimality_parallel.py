@@ -1,14 +1,22 @@
-"""Parallel-vs-sequential equivalence of the optimality searches.
+"""The level BFS of ``repro.core.optimality`` against its slow oracle.
 
-The contract of ``parallel=True`` (and of the bitmask engine behind
-both paths) is *byte-identical output*: same ``M(t)`` profile, same
-found schedule (or the same proof that none exists) on every dag.
-These tests pin that contract on every catalog block and on each
-family at two sizes.
+:func:`~repro.core.optimality.max_eligibility_profile` and
+:func:`~repro.core.optimality.partial_max_eligibility_profile` share
+one bitmask level BFS.  Both are checked against the frozen frozenset
+BFS in ``tests/optimality_reference.py`` on every catalog block, on
+each paper family at two sizes and on seeded random dags; the found
+schedules must attain the reference ceiling; and the budget cut is
+pinned by state counts read before the two searches were merged.
+
+The ``repro.api`` verbs still accept ``parallel=`` / ``workers=`` as
+v1 keywords that change nothing; the last tests pin that contract.
 """
+
+import random
 
 import pytest
 
+from repro import api
 from repro.blocks import block
 from repro.blocks.catalog import BLOCK_KINDS
 from repro.core import (
@@ -16,9 +24,13 @@ from repro.core import (
     find_ic_optimal_schedule,
     is_ic_optimal,
     max_eligibility_profile,
-    schedule_dag,
 )
+from repro.core.dag import ComputationDag
+from repro.core.optimality import partial_max_eligibility_profile
 from repro.exceptions import OptimalityError
+from repro.obs import MetricsRegistry, set_global_registry
+
+from .optimality_reference import max_profile_reference
 
 #: every catalog block kind at a representative parameter (or two
 #: where the family is parameterized interestingly).
@@ -38,10 +50,12 @@ CATALOG_CASES = [
     ("Q", 2),
 ]
 
+#: seeded random dags checked against the reference.
+RANDOM_CASES = 100
+
 
 def _family_dags():
-    """Each paper family at two sizes (kept small: every case runs an
-    exhaustive search twice)."""
+    """Each paper family at two sizes."""
     from repro.families.butterfly_net import butterfly_dag
     from repro.families.diamond import complete_diamond
     from repro.families.mesh import out_mesh_dag
@@ -70,26 +84,37 @@ def _all_cases():
     return cases + _family_dags()
 
 
+def random_dag(seed: int) -> ComputationDag:
+    """A random dag of 1–14 nodes, inserted in a random (usually not
+    topological) order, so the bitmask index order is exercised too."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 14)
+    density = rng.uniform(0.05, 0.6)
+    rank = list(range(n))
+    rng.shuffle(rank)  # rank[i]: position of node i in a hidden order
+    names = ([f"v{i}" for i in range(n)] if rng.random() < 0.5
+             else list(range(n)))
+    arcs = [(names[i], names[j]) for i in range(n) for j in range(n)
+            if rank[i] < rank[j] and rng.random() < density]
+    return ComputationDag(nodes=names, arcs=arcs, name=f"rand{seed}")
+
+
 @pytest.mark.parametrize("label,dag", _all_cases())
 def test_profile_equivalence(label, dag):
-    seq = max_eligibility_profile(dag)
-    par = max_eligibility_profile(dag, parallel=True, workers=2)
-    assert par == seq, label
+    expected = max_profile_reference(dag)
+    assert max_eligibility_profile(dag) == expected, label
+    assert partial_max_eligibility_profile(dag, 20_000_000) == \
+        (expected, True), label
 
 
 @pytest.mark.parametrize("label,dag", _all_cases())
 def test_schedule_equivalence(label, dag):
-    seq = find_ic_optimal_schedule(dag)
-    par = find_ic_optimal_schedule(dag, parallel=True, workers=2)
-    if seq is None:
-        assert par is None, label
-    else:
-        assert par is not None, label
-        # identical orders, not merely both optimal: the parallel path
-        # must be drop-in deterministic for golden outputs.
-        assert par.order == seq.order, label
-        assert par.profile == seq.profile, label
-        assert is_ic_optimal(seq)
+    # every catalog block and family case admits an IC-optimal
+    # schedule; the one found must attain the reference ceiling
+    sched = find_ic_optimal_schedule(dag)
+    assert sched is not None, label
+    assert list(sched.profile) == max_profile_reference(dag), label
+    assert is_ic_optimal(sched)
 
 
 def test_every_catalog_kind_covered():
@@ -97,47 +122,126 @@ def test_every_catalog_kind_covered():
     assert {k for k, _ in CATALOG_CASES} == set(BLOCK_KINDS)
 
 
+def test_random_dags_match_reference():
+    mismatched = []
+    cut = 0
+    for seed in range(RANDOM_CASES):
+        dag = random_dag(seed)
+        expected = max_profile_reference(dag)
+        stats = SearchStats()
+        if max_eligibility_profile(dag, stats=stats) != expected:
+            mismatched.append((seed, "max"))
+            continue
+        states = stats.states_expanded
+        for budget in {1, 2, max(1, states // 2), states - 1, states}:
+            if budget < 1:
+                continue
+            prefix, complete = partial_max_eligibility_profile(dag, budget)
+            if complete != (budget >= states):
+                mismatched.append((seed, budget, "complete"))
+            elif complete and prefix != expected:
+                mismatched.append((seed, budget, "profile"))
+            elif not complete and (len(prefix) >= len(expected)
+                                   or prefix != expected[:len(prefix)]):
+                mismatched.append((seed, budget, "prefix"))
+            cut += not complete
+            # the strict search raises exactly where the partial one
+            # stops
+            try:
+                strict = max_eligibility_profile(dag, budget)
+            except OptimalityError:
+                strict = None
+            if (strict is None) == complete:
+                mismatched.append((seed, budget, "raise"))
+    assert not mismatched, f"diverged from the reference: {mismatched}"
+    # the generator must exercise the budget cut, not just full runs
+    assert cut >= RANDOM_CASES
+
+
+def _pin_dags():
+    from repro.families.butterfly_net import butterfly_dag
+    from repro.families.mesh import out_mesh_dag
+    from tests.test_optimality import non_ic_optimal_dag
+
+    return {"B_2": butterfly_dag(2), "mesh-5": out_mesh_dag(5),
+            "none-exists": non_ic_optimal_dag()}
+
+
+#: ``(len(prefix), complete, states_expanded)`` of the budgeted search
+#: per budget, then ``(states_expanded, frontier_peak)`` of the full
+#: search — read from the two separate BFS loops this one replaced.
+PINS = {
+    "B_2": ({1: (1, False, 2), 4: (1, False, 5), 64: (13, True, 49)},
+            (49, 11)),
+    "mesh-5": ({1: (1, False, 2), 4: (3, False, 5), 64: (9, False, 65)},
+               (132, 17)),
+    "none-exists": ({1: (1, False, 2), 4: (2, False, 5),
+                     64: (8, True, 8)},
+                    (8, 3)),
+}
+
+
+@pytest.mark.parametrize("label", sorted(PINS))
+def test_budget_cut_pinned(label):
+    dag = _pin_dags()[label]
+    partial_pins, full_pin = PINS[label]
+    for budget, pin in partial_pins.items():
+        stats = SearchStats()
+        prefix, complete = partial_max_eligibility_profile(
+            dag, budget, stats=stats)
+        assert (len(prefix), complete, stats.states_expanded) == pin, \
+            (label, budget)
+    stats = SearchStats()
+    max_eligibility_profile(dag, stats=stats)
+    assert (stats.states_expanded, stats.frontier_peak) == full_pin
+
+
+# ---------------------------------------------------------------------
+# parallel= / workers= on the repro.api verbs: accepted, never acting
+
+
 def test_parallel_is_deterministic_across_runs():
     g, _ = block("C", 5)
-    runs = [
-        max_eligibility_profile(g, parallel=True, workers=2)
-        for _ in range(3)
-    ]
-    assert runs[0] == runs[1] == runs[2]
+    runs = [api.schedule(g, parallel=True, workers=2, cache=False)
+            for _ in range(3)]
+    plain = api.schedule(g, cache=False)
+    assert {r.schedule.order for r in runs} == {plain.schedule.order}
 
 
 def test_parallel_stats_populated():
+    # the search records the same sequential-mode totals whatever the
+    # keywords say
     g, _ = block("W", 4)
-    stats = SearchStats()
-    seq = max_eligibility_profile(g, stats=stats)
-    assert stats.states_expanded > 0 and stats.branches == 0
-    par_stats = SearchStats()
-    par = max_eligibility_profile(
-        g, parallel=True, workers=2, stats=par_stats
-    )
-    assert par == seq
-    # the pool may be unavailable in restricted sandboxes, in which
-    # case the sequential fallback reports branches == 0.
-    assert par_stats.branches in (0, len(g.sources))
-    assert par_stats.states_expanded >= stats.states_expanded
+    totals = []
+    for kw in ({}, {"parallel": True, "workers": 2}):
+        fresh = MetricsRegistry()
+        old = set_global_registry(fresh)
+        try:
+            api.verify(g, strategy="exhaustive", cache=False, **kw)
+        finally:
+            set_global_registry(old)
+        assert fresh.value("search_profile_total", mode="sequential") >= 1
+        totals.append((fresh.value("search_states_expanded_total"),
+                       SearchStats.from_registry(fresh)))
+    assert totals[0] == totals[1]
+    assert totals[0][1].states_expanded > 0
 
 
 def test_parallel_budget_still_enforced():
     from repro.families.mesh import out_mesh_dag
 
     with pytest.raises(OptimalityError, match="state budget"):
-        max_eligibility_profile(
-            out_mesh_dag(10), state_budget=5, parallel=True, workers=2
-        )
+        api.schedule(out_mesh_dag(10), strategy="exhaustive",
+                     state_budget=5, parallel=True, workers=2, cache=False)
 
 
 def test_schedule_dag_parallel_matches_sequential():
     from repro.families.mesh import out_mesh_dag
 
     dag = out_mesh_dag(4)
-    seq = schedule_dag(dag, cache=False)
-    par = schedule_dag(dag, cache=False, parallel=True, workers=2)
-    assert seq.certificate is par.certificate
+    seq = api.schedule(dag, cache=False)
+    par = api.schedule(dag, cache=False, parallel=True, workers=2)
+    assert seq.certificate == par.certificate
     assert seq.schedule.order == par.schedule.order
 
 
@@ -146,122 +250,7 @@ def test_none_exists_agrees_in_parallel():
 
     g = non_ic_optimal_dag()
     assert find_ic_optimal_schedule(g) is None
-    assert find_ic_optimal_schedule(g, parallel=True, workers=2) is None
-
-
-# ---------------------------------------------------------------------
-# graceful degradation of the pool fan-out
-
-
-@pytest.fixture
-def registry():
-    from repro.obs import MetricsRegistry, set_global_registry
-
-    fresh = MetricsRegistry()
-    old = set_global_registry(fresh)
-    yield fresh
-    set_global_registry(old)
-
-
-def test_poisoned_payload_propagates():
-    """Worker-logic errors must never be absorbed by the degradation
-    path: a malformed payload is a bug, not a pool transport failure."""
-    from repro.core.optimality import _run_branches
-
-    with pytest.raises((ValueError, TypeError)):
-        _run_branches([("poison",)], 1)
-
-
-def test_pool_unavailable_falls_back_observably(registry, monkeypatch,
-                                                caplog):
-    import logging
-
-    from repro.core.optimality import _run_branches
-
-    def broken_get_context(*a, **k):
-        raise OSError("no process support here")
-
-    monkeypatch.setattr("multiprocessing.get_context",
-                        broken_get_context)
-    with caplog.at_level(logging.WARNING, "repro.core.optimality"):
-        assert _run_branches([], 2) is None
-    assert registry.value("search_pool_fallbacks_total",
-                          reason="pool-unavailable") == 1
-    assert any("parallel search degraded" in r.message
-               for r in caplog.records)
-
-
-def test_pool_unavailable_result_byte_identical(registry, monkeypatch):
-    """With the pool gone, parallel=True silently (but countably)
-    degrades to the sequential path — same profile out."""
-    monkeypatch.setattr(
-        "multiprocessing.get_context",
-        lambda *a, **k: (_ for _ in ()).throw(OSError("denied")),
-    )
-    g, _ = block("W", 4)
-    par = max_eligibility_profile(g, parallel=True, workers=2)
-    assert par == max_eligibility_profile(g)
-    assert registry.value("search_pool_fallbacks_total",
-                          reason="pool-unavailable") >= 1
-
-
-def test_branch_transport_error_retries_in_process(registry,
-                                                   monkeypatch):
-    """A transport-level failure of one branch re-runs that branch
-    in-process and counts a ``branch-retry`` fallback."""
-    import repro.core.optimality as opt
-
-    class FakeHandle:
-        def get(self):
-            raise EOFError("worker died mid-flight")
-
-    class FakePool:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def apply_async(self, fn, args):
-            return FakeHandle()
-
-    class FakeCtx:
-        def Pool(self, processes):
-            return FakePool()
-
-    monkeypatch.setattr("multiprocessing.get_context",
-                        lambda *a, **k: FakeCtx())
-    monkeypatch.setattr(opt, "_branch_worker", lambda p: ("ok", p[4]))
-    payload = (None, None, None, None, 7)
-    assert opt._run_branches([payload], 1) == [("ok", 7)]
-    assert registry.value("search_pool_fallbacks_total",
-                          reason="branch-retry") == 1
-
-
-def test_worker_optimality_error_propagates(monkeypatch):
-    """Budget violations raised inside a pool worker must surface, not
-    be retried or swallowed."""
-    import repro.core.optimality as opt
-
-    class FakeHandle:
-        def get(self):
-            raise OptimalityError("state budget exceeded")
-
-    class FakePool:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def apply_async(self, fn, args):
-            return FakeHandle()
-
-    class FakeCtx:
-        def Pool(self, processes):
-            return FakePool()
-
-    monkeypatch.setattr("multiprocessing.get_context",
-                        lambda *a, **k: FakeCtx())
-    with pytest.raises(OptimalityError, match="state budget"):
-        opt._run_branches([(None, None, None, None, 3)], 1)
+    for kw in ({}, {"parallel": True, "workers": 2}):
+        res = api.verify(g, strategy="exhaustive", cache=False, **kw)
+        assert res.certificate == "none-exists"
+        assert not res.ic_optimal

@@ -487,7 +487,7 @@ class TestAccessLog:
 
 
 # ----------------------------------------------------------------------
-# exemplars on merged histograms (the pool-worker merge path)
+# exemplars on histograms
 # ----------------------------------------------------------------------
 
 
@@ -500,12 +500,3 @@ class TestExemplars:
         h.observe(0.7, exemplar="rid-a")
         ex = reg.snapshot()["lat"]["exemplar"]
         assert ex["id"] == "rid-a" and ex["value"] == 0.7
-
-    def test_merge_keeps_newest_exemplar(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.histogram("lat", "l").observe(0.1, exemplar="old")
-        b.histogram("lat", "l").observe(0.2, exemplar="new")
-        a.merge(b.snapshot())
-        merged = a.histogram("lat", "l")
-        assert merged.count == 2
-        assert a.snapshot()["lat"]["exemplar"]["id"] == "new"

@@ -150,6 +150,32 @@ class TestRequestPipeline:
         finally:
             pipe.stop()
 
+    def test_block_over_state_budget_answers_search(self, registry):
+        # a block search past state_budget inside decomposition falls
+        # down auto's ladder to a stamped certificate; the pipeline
+        # never sees an error, so nothing degrades
+        from repro.core import (
+            BlockCertificateLibrary,
+            ProfileCache,
+            set_global_block_library,
+            set_global_profile_cache,
+        )
+
+        old_lib = set_global_block_library(BlockCertificateLibrary())
+        old_cache = set_global_profile_cache(ProfileCache())
+        pipe = RequestPipeline(config=PipelineConfig(
+            workers=1, state_budget=20))
+        pipe.start()
+        try:
+            entry, how = pipe.submit_dag(out_mesh_dag(6))
+            assert how == "search"
+            assert entry.schedule.certificate == "heuristic"
+            assert registry.value("service_degraded_total") == 0
+        finally:
+            pipe.stop()
+            set_global_block_library(old_lib)
+            set_global_profile_cache(old_cache)
+
     def test_degrades_to_heuristic_on_search_failure(
             self, registry, monkeypatch):
         real_schedule = api.schedule
