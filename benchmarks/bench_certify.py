@@ -7,10 +7,10 @@ Measures, per recognized family, the *deterministic* search effort
 * **exhaustive** — the monolithic ideal-lattice search
   (``strategy="exhaustive"``, profile cache off);
 * **compositional** — recognition + Theorem 2.1 assembly over a cold
-  :class:`~repro.core.certify.BlockCertificateLibrary`: only the
-  blocks are searched;
-* **warm** — the same certification against the now-populated
-  library: zero states (every block is a cache hit).
+  :class:`~repro.core.profile_cache.ProfileCache`: only the blocks are
+  searched;
+* **warm** — the same certification against the now-populated store:
+  zero states (every block is a cache hit).
 
 States-expanded counts are machine-independent, so the recorded
 ratios are gated hard by ``tools/check_bench_regression.py``: the
@@ -31,11 +31,7 @@ import json
 import time
 
 from repro.analysis import render_table
-from repro.core import (
-    BlockCertificateLibrary,
-    certify,
-    max_eligibility_profile,
-)
+from repro.core import ProfileCache, certify, max_eligibility_profile
 from repro.families import butterfly_net, diamond, mesh, prefix, trees
 from repro.obs import MetricsRegistry, set_global_registry
 
@@ -79,17 +75,17 @@ def run() -> dict:
         ex_states, ex_wall = _measured(
             lambda: certify(dag, strategy="exhaustive", cache=False)
         )
-        lib = BlockCertificateLibrary()
+        store = ProfileCache()
         results = {}
 
         def cold():
             results["cold"] = certify(
-                dag, strategy="compositional", cache=False, library=lib
+                dag, strategy="compositional", cache=store
             )
 
         def warm():
             results["warm"] = certify(
-                dag, strategy="compositional", cache=False, library=lib
+                dag, strategy="compositional", cache=store
             )
 
         co_states, co_wall = _measured(cold)

@@ -185,9 +185,10 @@ def schedule(
         always runs in-process (``docs/PERFORMANCE.md`` §1.4), and
         these options never changed a result.
     cache:
-        ``True`` (default) memoizes in the process-wide certification
-        cache; a :class:`~repro.core.profile_cache.ProfileCache` uses
-        a private one; ``False`` searches from scratch.
+        ``True`` (default) memoizes block certificates and whole-dag
+        results in the process-wide certificate store; a
+        :class:`~repro.core.profile_cache.ProfileCache` uses a private
+        one; ``False`` searches everything from scratch.
     """
     res = _schedule_dag(
         target,

@@ -19,11 +19,8 @@ from .composition import (
 )
 from .certify import (
     STRATEGIES,
-    BlockCertificateLibrary,
     BlockProvenance,
     certify,
-    global_block_library,
-    set_global_block_library,
 )
 from .dag import Arc, ComputationDag, Node
 from .duality import dual_dag, dual_schedule
@@ -108,7 +105,6 @@ __all__ = [
     "hopcroft_karp",
     "max_antichain",
     "width_attained",
-    "BlockCertificateLibrary",
     "BlockProvenance",
     "BlockRecord",
     "CacheStats",
@@ -131,7 +127,6 @@ __all__ = [
     "eligibility_profile",
     "eligibility_upper_bound",
     "find_ic_optimal_schedule",
-    "global_block_library",
     "global_profile_cache",
     "greedy_schedule",
     "has_priority",
@@ -148,7 +143,6 @@ __all__ = [
     "profiles_have_priority",
     "run_order",
     "schedule_dag",
-    "set_global_block_library",
     "set_global_profile_cache",
     "sum_dags",
 ]

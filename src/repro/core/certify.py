@@ -12,10 +12,12 @@ their blocks in linear time.  This module puts the theorem first
    :func:`~repro.core.recognition.recognize` (or split into weakly
    connected components composed as sum steps);
 2. **certify blocks** — each block's IC-optimal schedule comes from the
-   content-addressed :class:`BlockCertificateLibrary` (attached
-   schedules are *verified* against the library ceiling, never
-   trusted), so repeated blocks cost one lattice search per structure
-   per process lifetime — or one ever, with a persisted library;
+   content-addressed certificate store,
+   :meth:`~repro.core.profile_cache.ProfileCache.certify_block`
+   (attached schedules are *verified* against the certified ceiling,
+   never trusted), so repeated blocks cost one lattice search per
+   structure per store — or one ever for a block that has an
+   IC-optimal schedule, with a path-backed store;
 3. **assemble** — the existing Theorem 2.1 machinery
    (:func:`~repro.core.composition.linear_composition_schedule` plus
    the ▷-linear / reordered / segmented checks) builds the composite
@@ -43,13 +45,9 @@ differ).  What changes is the cost of producing it.
 
 from __future__ import annotations
 
-import json
-from collections import OrderedDict
 from dataclasses import dataclass
-from pathlib import Path
 
-from ..exceptions import OptimalityError, ScheduleError
-from ..fsio import atomic_write_json
+from ..exceptions import OptimalityError
 from ..obs import global_registry, span
 from .composition import BlockRecord, CompositionChain, linear_composition_schedule
 from .dag import ComputationDag
@@ -59,7 +57,7 @@ from .optimality import (
     max_eligibility_profile,
     partial_max_eligibility_profile,
 )
-from .profile_cache import ProfileCache, global_profile_cache
+from .profile_cache import ProfileCache, _search_block, global_profile_cache
 from .recognition import recognize
 from .schedule import Schedule
 from .scheduler import Certificate, SchedulingResult, greedy_schedule
@@ -67,17 +65,12 @@ from .scheduler import Certificate, SchedulingResult, greedy_schedule
 __all__ = [
     "STRATEGIES",
     "BlockProvenance",
-    "BlockCertificateLibrary",
     "global_block_library",
-    "set_global_block_library",
     "certify",
 ]
 
 #: the recognized certification strategies, in fallback order.
 STRATEGIES = ("auto", "compositional", "exhaustive", "anytime", "heuristic")
-
-#: library file format version (bumped on incompatible change).
-_LIBRARY_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -94,7 +87,7 @@ class BlockProvenance:
     source:
         * ``"attached-verified"`` — the chain carried a block schedule
           and it was verified against the certified ceiling;
-        * ``"cache-hit"`` — rebuilt from the block-certificate library;
+        * ``"cache-hit"`` — rebuilt from the certificate store;
         * ``"searched"`` — certified by a fresh lattice search;
         * ``"composed"`` — the block is itself a composed component
           (component-split path).
@@ -105,271 +98,11 @@ class BlockProvenance:
     source: str
 
 
-def _lookup_counter():
-    return global_registry().counter(
-        "certify_block_cache_lookups_total",
-        "block-certificate library lookups", ("result",),
-    )
-
-
-def _load_skip_counter():
-    return global_registry().counter(
-        "certify_block_cache_load_skipped_total",
-        "corrupt or malformed block-certificate library files/entries "
-        "discarded on load",
-    )
-
-
-def _size_gauge():
-    return global_registry().gauge(
-        "certify_block_cache_size",
-        "entries held by the block-certificate library",
-    )
-
-
-def _canonical_nodes(block: ComputationDag) -> list | None:
-    """The library's canonical node order: sorted by ``repr`` — stable
-    across processes (unlike ``hash``) and exactly the order the
-    fingerprint hashes.  ``None`` when reprs collide (the encoding
-    would be ambiguous; such blocks bypass the library)."""
-    nodes = sorted(block.nodes, key=repr)
-    if len({repr(v) for v in nodes}) != len(nodes):
-        return None
-    return nodes
-
-
-class BlockCertificateLibrary:
-    """Content-addressed memo of *block* certificates, optionally
-    persisted to disk.
-
-    Where :class:`~repro.core.profile_cache.ProfileCache` memoizes
-    whole-dag search results within a process, this library memoizes
-    the building blocks of composed certificates — keyed by the same
-    structure fingerprint — and can round-trip them through a JSON
-    file, so block certification is deterministic *across* processes.
-
-    Each entry stores the block's max-eligibility profile and the node
-    order of its IC-optimal schedule (or the fact that none exists),
-    with nodes encoded as indices into the canonical sorted-by-``repr``
-    node order — process-stable and JSON-safe regardless of label
-    types.  A hit *re-validates*: the order is replayed against the
-    requesting block instance and its profile checked against the
-    stored ceiling, so a stale or corrupted file degrades to a fresh
-    search, never to a wrong certificate.
-
-    Parameters
-    ----------
-    path:
-        Optional JSON file.  Loaded (tolerantly) on construction when
-        it exists; every new entry is written through.
-    maxsize:
-        LRU bound on in-memory entries.
-    """
-
-    def __init__(self, path: str | Path | None = None,
-                 maxsize: int = 4096) -> None:
-        if maxsize < 1:
-            raise ValueError(f"maxsize must be >= 1, got {maxsize}")
-        self.path = Path(path) if path is not None else None
-        self.maxsize = maxsize
-        self._entries: OrderedDict[str, dict] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.bypasses = 0
-        if self.path is not None and self.path.exists():
-            self.load()
-
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def clear(self) -> None:
-        """Drop every entry and reset the counters (the backing file,
-        if any, is left untouched until the next write-through)."""
-        self._entries.clear()
-        self.hits = self.misses = self.bypasses = 0
-        _size_gauge().set(0)
-
-    # -- persistence ---------------------------------------------------
-    def load(self) -> int:
-        """(Re)load entries from :attr:`path`; returns how many were
-        accepted.  Malformed files or entries are skipped and counted
-        (``certify_block_cache_load_skipped_total``), never raised —
-        the library is a cache, correctness never depends on it."""
-        if self.path is None:
-            return 0
-        skipped = 0
-        try:
-            data = json.loads(self.path.read_text())
-        except (OSError, ValueError):
-            _load_skip_counter().inc()
-            return 0
-        if not isinstance(data, dict) or \
-                data.get("version") != _LIBRARY_VERSION:
-            _load_skip_counter().inc()
-            return 0
-        loaded = 0
-        for fp, entry in data.get("blocks", {}).items():
-            if not isinstance(entry, dict):
-                skipped += 1
-                continue
-            profile = entry.get("profile")
-            order = entry.get("order")
-            if not isinstance(profile, list) or \
-                    not all(isinstance(x, int) for x in profile):
-                skipped += 1
-                continue
-            if order is not None and (
-                not isinstance(order, list)
-                or not all(isinstance(x, int) for x in order)
-            ):
-                skipped += 1
-                continue
-            self._entries[str(fp)] = {
-                "name": str(entry.get("name", "")),
-                "profile": profile,
-                "order": order,
-            }
-            loaded += 1
-        if skipped:
-            _load_skip_counter().inc(skipped)
-        _size_gauge().set(len(self._entries))
-        return loaded
-
-    def save(self) -> None:
-        """Write every entry to :attr:`path` (power-loss-safe atomic
-        replace: temp → fsync → rename → fsync-dir, via
-        :func:`repro.fsio.atomic_write_json`)."""
-        if self.path is None:
-            return
-        payload = {
-            "version": _LIBRARY_VERSION,
-            "blocks": dict(self._entries),
-        }
-        atomic_write_json(str(self.path), payload, indent=1)
-
-    def _put(self, fingerprint: str, entry: dict) -> None:
-        self._entries[fingerprint] = entry
-        self._entries.move_to_end(fingerprint)
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-        _size_gauge().set(len(self._entries))
-        self.save()
-
-    # ------------------------------------------------------------------
-    def certify_block(
-        self,
-        block: ComputationDag,
-        attached: Schedule | None = None,
-        state_budget: int = 500_000,
-    ) -> tuple[Schedule | None, str]:
-        """The block's IC-optimal schedule plus its provenance source.
-
-        Returns ``(schedule, source)`` with ``source`` one of the
-        :class:`BlockProvenance` values (``"bypass"`` never escapes —
-        repr-colliding blocks are certified directly and reported as
-        ``"attached-verified"`` / ``"searched"``).  ``schedule`` is
-        ``None`` when the block provably admits no IC-optimal schedule
-        (a cachable fact).
-
-        ``attached`` is a *claimed* IC-optimal schedule (e.g. carried
-        by a family-built chain): it is returned only after its profile
-        matches the certified ceiling, so an invalid claim costs a
-        search instead of poisoning the composite certificate.
-        """
-        canonical = _canonical_nodes(block)
-        if canonical is None:
-            self.bypasses += 1
-            _lookup_counter().labels("bypass").inc()
-            return self._certify_direct(block, attached, state_budget)
-        fp = block.fingerprint()
-        entry = self._entries.get(fp)
-        if entry is not None:
-            rebuilt = self._from_entry(block, canonical, entry, attached)
-            if rebuilt is not None:
-                self.hits += 1
-                self._entries.move_to_end(fp)
-                _lookup_counter().labels("hit").inc()
-                return rebuilt
-            # stored entry does not replay on this block (corrupt or
-            # colliding file): recompute and overwrite.
-        self.misses += 1
-        _lookup_counter().labels("miss").inc()
-        sched, source, profile = self._certify_with_profile(
-            block, attached, state_budget
-        )
-        index = {v: i for i, v in enumerate(canonical)}
-        self._put(fp, {
-            "name": block.name,
-            "profile": [int(x) for x in profile],
-            "order": None if sched is None
-            else [index[v] for v in sched.order],
-        })
-        return sched, source
-
-    # ------------------------------------------------------------------
-    def _from_entry(self, block, canonical, entry, attached):
-        profile = entry["profile"]
-        if len(profile) != len(block) + 1:
-            return None
-        if attached is not None and list(attached.profile) == profile:
-            return attached, "attached-verified"
-        if entry["order"] is None:
-            return None, "cache-hit"
-        order_idx = entry["order"]
-        if len(order_idx) != len(canonical) or \
-                any(not (0 <= i < len(canonical)) for i in order_idx):
-            return None
-        try:
-            sched = Schedule(
-                block, [canonical[i] for i in order_idx],
-                name=f"lib({block.name})",
-            )
-        except ScheduleError:
-            return None
-        if list(sched.profile) != profile:
-            return None
-        return sched, "cache-hit"
-
-    @staticmethod
-    def _certify_with_profile(block, attached, state_budget):
-        profile = max_eligibility_profile(block, state_budget)
-        if attached is not None and \
-                list(attached.profile) == list(profile):
-            return attached, "attached-verified", profile
-        sched = find_ic_optimal_schedule(
-            block, state_budget, name=f"lib({block.name})",
-            max_profile=profile,
-        )
-        return sched, "searched", profile
-
-    def _certify_direct(self, block, attached, state_budget):
-        sched, source, _profile = self._certify_with_profile(
-            block, attached, state_budget
-        )
-        return sched, source
-
-
-#: process-wide default library used by ``certify`` unless a caller
-#: supplies (or disables) its own.  In-memory by default; install a
-#: path-backed one with :func:`set_global_block_library` to persist
-#: block certificates across processes.
-_GLOBAL_LIBRARY = BlockCertificateLibrary()
-
-
-def global_block_library() -> BlockCertificateLibrary:
-    """The process-wide default :class:`BlockCertificateLibrary`."""
-    return _GLOBAL_LIBRARY
-
-
-def set_global_block_library(
-    library: BlockCertificateLibrary,
-) -> BlockCertificateLibrary:
-    """Replace the process-wide default library; returns the old one."""
-    global _GLOBAL_LIBRARY
-    old = _GLOBAL_LIBRARY
-    _GLOBAL_LIBRARY = library
-    return old
+def global_block_library() -> ProfileCache:
+    """The process-wide certificate store, under the name callers of
+    the former block library look it up by — the same store as
+    :func:`~repro.core.profile_cache.global_profile_cache`."""
+    return global_profile_cache()
 
 
 # ----------------------------------------------------------------------
@@ -385,14 +118,15 @@ def certify(
     exhaustive_limit: int = 24,
     state_budget: int = 500_000,
     cache: ProfileCache | bool = True,
-    library: BlockCertificateLibrary | bool = True,
 ) -> SchedulingResult:
     """Certify a schedule for ``target`` under the chosen strategy.
 
     This is the engine behind
     :func:`~repro.core.scheduler.schedule_dag` (which documents every
-    option); call it directly to pass a private
-    :class:`BlockCertificateLibrary`.  Strategies:
+    option).  ``cache`` decides whether blocks and whole dags are
+    memoized: ``True`` uses the process-wide certificate store, a
+    :class:`~repro.core.profile_cache.ProfileCache` a private one, and
+    ``False`` searches everything from scratch.  Strategies:
 
     * ``"auto"`` — decomposition first (chain / recognized family /
       component split; a block whose search passes ``state_budget``
@@ -420,15 +154,12 @@ def certify(
     cache_ = global_profile_cache() if cache is True else (
         cache if isinstance(cache, ProfileCache) else None
     )
-    lib = global_block_library() if library is True else (
-        library if isinstance(library, BlockCertificateLibrary) else None
-    )
     chain = target if isinstance(target, CompositionChain) else None
     dag = target.dag if chain is not None else target
     with span("certify", dag=dag.name, strategy=strategy):
         result = _dispatch(
             strategy, chain, dag, budget, exhaustive_limit,
-            state_budget, cache_, lib,
+            state_budget, cache_,
         )
     result.strategy = strategy
     global_registry().counter(
@@ -440,7 +171,7 @@ def certify(
 
 
 def _dispatch(strategy, chain, dag, budget, exhaustive_limit,
-              state_budget, cache, lib):
+              state_budget, cache):
     if strategy == "heuristic":
         return _heuristic(dag)
     if strategy == "anytime":
@@ -450,8 +181,8 @@ def _dispatch(strategy, chain, dag, budget, exhaustive_limit,
     if strategy == "exhaustive":
         return _exhaustive(dag, state_budget, cache)
     if strategy == "compositional":
-        res = _decompose(chain, dag, lib, exhaustive_limit,
-                         state_budget, cache)
+        res = _decompose(chain, dag, cache, exhaustive_limit,
+                         state_budget)
         if res is None:
             raise OptimalityError(
                 f"dag {dag.name!r} does not decompose into certified "
@@ -464,8 +195,8 @@ def _dispatch(strategy, chain, dag, budget, exhaustive_limit,
     # A block search past ``state_budget`` means "did not decompose"
     # here, so the ladder below still runs.
     try:
-        res = _decompose(chain, dag, lib, exhaustive_limit, state_budget,
-                         cache)
+        res = _decompose(chain, dag, cache, exhaustive_limit,
+                         state_budget)
     except OptimalityError:
         res = None
     if res is not None:
@@ -487,40 +218,38 @@ def _nonsinks(dag: ComputationDag) -> int:
 # -- decomposition -----------------------------------------------------
 
 
-def _decompose(chain, dag, lib, exhaustive_limit, state_budget, cache):
+def _decompose(chain, dag, cache, exhaustive_limit, state_budget):
     """The compositional certification attempt: explicit chain, then
     family recognition, then component split.  ``None`` when no
     decomposition certifies."""
     if chain is not None:
-        res = _try_chain(chain, lib, state_budget)
+        res = _try_chain(chain, cache, state_budget)
         if res is not None:
             return res
     recognized = recognize(dag)
     if recognized is not None and (chain is None
                                    or recognized is not chain):
-        res = _try_chain(recognized, lib, state_budget)
+        res = _try_chain(recognized, cache, state_budget)
         if res is not None:
             return res
-    return _component_split(dag, lib, exhaustive_limit, state_budget,
-                            cache)
+    return _component_split(dag, cache, exhaustive_limit, state_budget)
 
 
-def _resolve_chain(chain, lib, state_budget):
-    """Certify every block of ``chain`` (through the library when one
-    is installed); returns ``(resolved_chain, provenance)`` or
+def _resolve_chain(chain, cache, state_budget):
+    """Certify every block of ``chain`` (through the store when one is
+    given); returns ``(resolved_chain, provenance)`` or
     ``(None, ())`` when some block admits no IC-optimal schedule."""
     records: list[BlockRecord] = []
     provenance: list[BlockProvenance] = []
     for rec in chain.blocks:
-        if lib is not None:
-            sched, source = lib.certify_block(
+        if cache is not None:
+            sched, source = cache.certify_block(
                 rec.block, rec.schedule, state_budget
             )
         else:
-            sched, source, _profile = \
-                BlockCertificateLibrary._certify_with_profile(
-                    rec.block, rec.schedule, state_budget
-                )
+            sched, source, _profile = _search_block(
+                rec.block, rec.schedule, state_budget
+            )
         if sched is None:
             return None, ()
         records.append(BlockRecord(
@@ -538,16 +267,16 @@ def _resolve_chain(chain, lib, state_budget):
     return resolved, tuple(provenance)
 
 
-def _try_chain(chain, lib, state_budget, provenance=None):
+def _try_chain(chain, cache, state_budget, provenance=None):
     """Certify a chain via Theorem 2.1 at the strongest level that
     holds: ▷-linear, ▷-linear after priority reordering, segmented,
     reordered segmented.  ``None`` when none does.
 
     When ``provenance`` is ``None`` the blocks are first resolved
-    through the library; otherwise the chain's attached schedules are
+    through the store; otherwise the chain's attached schedules are
     taken as already certified (component-split path)."""
     if provenance is None:
-        chain, provenance = _resolve_chain(chain, lib, state_budget)
+        chain, provenance = _resolve_chain(chain, cache, state_budget)
         if chain is None:
             return None
     # each certification level is checked once; the builder is then
@@ -574,7 +303,7 @@ def _try_chain(chain, lib, state_budget, provenance=None):
     return None
 
 
-def _component_split(dag, lib, exhaustive_limit, state_budget, cache):
+def _component_split(dag, cache, exhaustive_limit, state_budget):
     """Certify a disconnected dag as the ⇑-sum of its weakly connected
     components (Section 2.3.1 allows an empty merge set), each
     component certified recursively (recognition, then exhaustive).
@@ -589,8 +318,8 @@ def _component_split(dag, lib, exhaustive_limit, state_budget, cache):
     blocks = []
     for i, comp in enumerate(comps):
         sub = dag.induced_subdag(comp, name=f"{dag.name}/c{i}")
-        res = _certify_component(sub, lib, exhaustive_limit,
-                                 state_budget, cache)
+        res = _certify_component(sub, cache, exhaustive_limit,
+                                 state_budget)
         if res is None or not res.ic_optimal:
             return None
         blocks.append((sub, res))
@@ -613,7 +342,7 @@ def _component_split(dag, lib, exhaustive_limit, state_budget, cache):
         )
         for sub, res in blocks
     )
-    res = _try_chain(chain, lib, state_budget, provenance=provenance)
+    res = _try_chain(chain, cache, state_budget, provenance=provenance)
     if res is None:
         return None
     # the component schedules certify the *composite* dag: rebuild the
@@ -626,15 +355,14 @@ def _component_split(dag, lib, exhaustive_limit, state_budget, cache):
     )
 
 
-def _certify_component(sub, lib, exhaustive_limit, state_budget,
-                       cache):
+def _certify_component(sub, cache, exhaustive_limit, state_budget):
     """One component's certification: recognition, then exhaustive —
     no further component split (components are connected) and no
     unbounded fallbacks (a block must be certified or the split
     fails)."""
     recognized = recognize(sub)
     if recognized is not None:
-        res = _try_chain(recognized, lib, state_budget)
+        res = _try_chain(recognized, cache, state_budget)
         if res is not None:
             return res
     if _nonsinks(sub) <= exhaustive_limit:

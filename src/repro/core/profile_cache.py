@@ -1,56 +1,62 @@
-"""Content-addressed memoization of eligibility ceilings and
-IC-optimality certificates.
+"""The certificate store: content-addressed memoization of eligibility
+ceilings and IC-optimality certificates, for whole dags and
+composition blocks alike.
 
 The exhaustive searches in :mod:`repro.core.optimality` are the
-dominant cost of certification, yet the *same* dag structure is
-certified over and over: every benchmark rebuilds the same
-family/size, the sim server schedules the same workload dags per
-policy, and tests re-verify catalog blocks.  Because
-:meth:`~repro.core.dag.ComputationDag.fingerprint` is content-
-addressed (structure only — not identity, name, or insertion order),
-one bounded LRU map turns every repeat certification into an O(1)
-lookup.
+dominant cost of certification, yet the *same* structure is certified
+over and over: every benchmark rebuilds the same family/size, the sim
+server schedules the same workload dags per policy, and Theorem 2.1
+assembles thousands of composed dags from a handful of distinct
+blocks.  Because :meth:`~repro.core.dag.ComputationDag.fingerprint` is
+content-addressed (structure only — not identity, name, or insertion
+order), one bounded LRU table turns every repeat into an O(1) lookup.
 
-Two result kinds are cached per fingerprint:
+Entries are keyed by ``(fingerprint, kind)``; the kind keeps the paths
+apart, so no lookup is answered from an entry another path stored:
 
-* the **max-eligibility profile** ``[M(0), ..., M(|N|)]``;
-* the **certificate**: the node order of the found IC-optimal
-  schedule, or the fact that none exists.
+* ``"profile"`` — a whole dag's max-eligibility profile
+  ``[M(0), ..., M(|N|)]`` (:meth:`ProfileCache.max_profile`);
+* ``"schedule"`` — a whole dag's IC-optimal schedule, or the fact that
+  none exists (:meth:`ProfileCache.find_schedule`);
+* ``"block"`` — a composition block's certificate
+  (:meth:`ProfileCache.certify_block`).
 
-Cached entries are exactly the sequential search's outputs, so cache
-hits are byte-identical to cold runs.  A schedule is re-validated
-against the *requesting* dag instance on every hit (``Schedule``
-construction replays the order), so a fingerprint collision — or a
-label set that coincides across semantically different uses — cannot
-smuggle in an invalid order.
+Certificate entries (``schedule``, ``block``) hold the profile and the
+schedule's node order, with nodes encoded as indices into the dag's
+nodes sorted by ``repr`` — process-stable and JSON-safe whatever the
+label types.  Every hit *re-validates* what it can: the order is
+replayed against the requesting dag instance and its profile checked
+against the stored one (a block's attached schedule is checked against
+the stored profile instead), so a stale, corrupted or colliding entry
+degrades to a fresh search.  Dags whose node reprs collide cannot be
+encoded and bypass the store (certified directly).
 
-Entries record nothing about the ``state_budget`` they were computed
-under: a search that *completed* within any budget is correct under
-every budget, and failed searches are never cached.
-
-The cache can optionally round-trip through a JSON file
-(:meth:`ProfileCache.save` / :meth:`ProfileCache.load`, both built on
-the power-loss-safe :func:`repro.fsio.atomic_write_json`), so a
-service restart or deploy starts warm instead of re-running every
-search.  Persistence is strictly best-effort: corrupt files or
-entries are skipped and counted
-(``profile_cache_load_skipped_total``), never raised, and a loaded
-schedule order is still re-validated against the requesting dag on
-every hit exactly like an in-process entry.  Only entries with
-JSON-native node labels (ints/strings, e.g. every dag that arrived
-over the service wire format) are persisted — exotic labels stay
-in-memory-only rather than round-tripping lossily.
+With a ``path`` the store is loaded from that JSON file on
+construction (when it exists) and every new entry is written through
+(:func:`repro.fsio.atomic_write_json`: temp → fsync → rename →
+fsync-dir).  Only certificates that carry an order travel through the
+file: a whole-dag profile or a none-exists fact has nothing to replay,
+so it could not be checked without the search it stands for, and stays
+in memory.  Loading is tolerant: a corrupt file or malformed entry (an
+order that is ``null``, a ``profile`` kind) is skipped and counted
+(``profile_cache_load_skipped_total``), never raised.  What replay
+cannot check is that a stored profile is the ceiling, so the file is
+trusted to hold profiles this store computed: a pair of order and
+profile forged to agree would be believed.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
+from pathlib import Path
 
+from ..exceptions import ScheduleError
 from ..fsio import atomic_write_json
 from ..obs import global_registry
-from .dag import ComputationDag, Node
+from .dag import ComputationDag
 from .optimality import DEFAULT_STATE_BUDGET, max_eligibility_profile
 from .schedule import Schedule
 
@@ -61,19 +67,96 @@ __all__ = [
     "set_global_profile_cache",
 ]
 
-#: sentinel distinguishing "no IC-optimal schedule exists" (a cachable
-#: fact) from "not cached".
-_NO_SCHEDULE = object()
+#: entry kinds, part of every key; the file holds the certificate kinds.
+KINDS = ("profile", "schedule", "block")
+_FILE_KINDS = ("schedule", "block")
+
+#: store file format version (bumped on incompatible change).
+_FILE_VERSION = 2
+
+#: :func:`_replay` verdict for an entry that does not replay on the
+#: requesting dag (``None`` already means "no IC-optimal schedule").
+_INVALID = object()
 
 
-def _lookup_counter():
-    """The shared cache-lookup counter, resolved from the *current*
-    global registry at call time (so benchmarks that install a fresh
-    registry capture cache traffic too)."""
-    return global_registry().counter(
+def _lookup_counter(kind: str, result: str):
+    """The lookup counter child of ``(kind, result)``, resolved from the
+    *current* global registry at call time (so benchmarks that install
+    a fresh registry capture store traffic too).  Block lookups keep
+    their own series."""
+    registry = global_registry()
+    if kind == "block":
+        return registry.counter(
+            "certify_block_cache_lookups_total",
+            "certificate-store lookups of composition blocks",
+            ("result",),
+        ).labels(result)
+    return registry.counter(
         "profile_cache_lookups_total",
-        "certification cache lookups", ("kind", "result"),
+        "certificate-store lookups of whole dags", ("kind", "result"),
+    ).labels(kind, result)
+
+
+def _size_gauge():
+    return global_registry().gauge(
+        "profile_cache_size", "entries held by the certificate store",
     )
+
+
+def _load_skip_counter():
+    return global_registry().counter(
+        "profile_cache_load_skipped_total",
+        "corrupt or malformed certificate-store files/entries "
+        "discarded on load",
+    )
+
+
+def _canonical_nodes(dag: ComputationDag) -> list | None:
+    """The store's canonical node order: sorted by ``repr`` — stable
+    across processes (unlike ``hash``) and exactly the order the
+    fingerprint hashes.  ``None`` when reprs collide (the encoding
+    would be ambiguous; such dags bypass the store)."""
+    nodes = sorted(dag.nodes, key=repr)
+    if len({repr(v) for v in nodes}) != len(nodes):
+        return None
+    return nodes
+
+
+def _replay(dag, canonical, entry, name):
+    """The schedule ``entry`` holds, rebuilt against ``dag`` and checked
+    against the stored profile: a :class:`Schedule`, ``None`` (none
+    exists), or :data:`_INVALID` when the entry does not replay."""
+    profile, order = entry
+    if order is None:
+        return None
+    if len(order) != len(canonical) or \
+            any(not (0 <= i < len(canonical)) for i in order):
+        return _INVALID
+    try:
+        sched = Schedule(dag, [canonical[i] for i in order], name=name)
+    except ScheduleError:
+        return _INVALID
+    return sched if sched.profile == list(profile) else _INVALID
+
+
+def _search_block(block, attached, state_budget):
+    """Certify ``block`` from scratch: ``(schedule, source, profile)``.
+    ``attached`` is returned only when its profile attains the
+    ceiling."""
+    from .optimality import find_ic_optimal_schedule
+
+    profile = max_eligibility_profile(block, state_budget)
+    if attached is not None and attached.profile == profile:
+        return attached, "attached-verified", profile
+    sched = find_ic_optimal_schedule(
+        block, state_budget, name=f"lib({block.name})",
+        max_profile=profile,
+    )
+    return sched, "searched", profile
+
+
+def _is_ints(value) -> bool:
+    return isinstance(value, list) and all(type(x) is int for x in value)
 
 
 @dataclass
@@ -92,41 +175,55 @@ class CacheStats:
 
 
 class ProfileCache:
-    """A bounded LRU cache of certification results, keyed by dag
-    fingerprint.
+    """The certificate store: a bounded LRU table of certification
+    results keyed by ``(fingerprint, kind)``.
 
     Parameters
     ----------
     maxsize:
-        Maximum number of (fingerprint, kind) entries; least recently
+        Maximum number of entries, all kinds together; least recently
         *used* entries are evicted first.
+    path:
+        Optional JSON file.  Loaded (tolerantly) on construction when
+        it exists; every new entry is written through (certificates
+        with an order only, see the module docstring).
     """
 
-    def __init__(self, maxsize: int = 1024) -> None:
+    def __init__(self, maxsize: int = 4096,
+                 path: str | Path | None = None) -> None:
         if maxsize < 1:
             raise ValueError(f"maxsize must be >= 1, got {maxsize}")
         self.maxsize = maxsize
+        self.path = Path(path) if path is not None else None
         self._entries: OrderedDict[tuple[str, str], object] = OrderedDict()
         self._stats = CacheStats()
+        # threads share a store (service workers share the global one):
+        # the table, the counters and the file change under this lock
+        self._lock = threading.Lock()
+        if self.path is not None and self.path.exists():
+            self._load()
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._entries)
 
     def clear(self) -> None:
-        """Drop every entry and reset the counters."""
-        self._entries.clear()
-        self._stats = CacheStats()
+        """Drop every entry and reset the counters (the backing file,
+        if any, is left untouched until the next write-through)."""
+        with self._lock:
+            self._entries.clear()
+            self._stats = CacheStats()
+        _size_gauge().set(0)
 
     # -- observability -------------------------------------------------
     @property
     def hits(self) -> int:
-        """Lookups served from the cache."""
+        """Lookups answered from the store."""
         return self._stats.hits
 
     @property
     def misses(self) -> int:
-        """Lookups that had to run the exhaustive search."""
+        """Lookups that had to search."""
         return self._stats.misses
 
     @property
@@ -144,120 +241,74 @@ class ProfileCache:
         it does not track later lookups)."""
         return replace(self._stats)
 
-    def _get(self, key: tuple[str, str]):
-        kind = key[1]
-        try:
-            value = self._entries[key]
-        except KeyError:
-            self._stats.misses += 1
-            _lookup_counter().labels(kind, "miss").inc()
-            return None
-        self._entries.move_to_end(key)
-        self._stats.hits += 1
-        _lookup_counter().labels(kind, "hit").inc()
-        return value
+    def _count(self, kind: str, result: str) -> None:
+        with self._lock:
+            if result == "hit":
+                self._stats.hits += 1
+            elif result == "miss":
+                self._stats.misses += 1
+        _lookup_counter(kind, result).inc()
 
-    def _put(self, key: tuple[str, str], value) -> None:
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-            self._stats.evictions += 1
-            global_registry().counter(
-                "profile_cache_evictions_total",
-                "certification cache entries dropped by the LRU bound",
-            ).inc()
+    def _lookup(self, key: tuple[str, str]):
+        """The entry under ``key`` (LRU-touched), or ``None``."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+        return entry
+
+    def _put(self, key: tuple[str, str], value, save: bool = True) -> None:
+        with self._lock:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.maxsize:
+                self._entries.popitem(last=False)
+                self._stats.evictions += 1
+                global_registry().counter(
+                    "profile_cache_evictions_total",
+                    "certificate-store entries dropped by the LRU bound",
+                ).inc()
+            size = len(self._entries)
+            if save and self.path is not None:
+                self._save()
+        _size_gauge().set(size)
 
     # -- persistence ---------------------------------------------------
-    _FILE_VERSION = 1
+    def _save(self) -> None:
+        entries = [
+            {"fingerprint": fp, "kind": kind, "profile": profile,
+             "order": order}
+            for (fp, kind), (profile, order) in self._entries.items()
+            if order is not None
+        ]
+        atomic_write_json(str(self.path), {
+            "version": _FILE_VERSION, "entries": entries,
+        }, indent=1)
 
-    def save(self, path: str) -> int:
-        """Persist every JSON-representable entry to ``path``
-        (atomic, fsync'd); returns how many were written.
-
-        Profile entries always persist; schedule entries persist only
-        when every node label is an int or str (lossless round-trip).
-        """
-        entries = []
-        for (fp, kind), value in self._entries.items():
-            if value is _NO_SCHEDULE:
-                entries.append({"fingerprint": fp, "kind": kind,
-                                "none_exists": True})
-                continue
-            seq = list(value)  # tuple of ints (profile) or labels
-            if kind == "schedule" and not all(
-                isinstance(x, (int, str)) for x in seq
-            ):
-                continue
-            entries.append({"fingerprint": fp, "kind": kind,
-                            "value": seq})
-        atomic_write_json(path, {
-            "version": self._FILE_VERSION,
-            "entries": entries,
-        })
-        return len(entries)
-
-    def load(self, path: str) -> int:
-        """Merge entries from ``path`` (written by :meth:`save`);
-        returns how many were accepted.  Corrupt files and malformed
-        entries are skipped and counted
-        (``profile_cache_load_skipped_total``), never raised.
-        """
-        def skip(n: int = 1) -> None:
-            global_registry().counter(
-                "profile_cache_load_skipped_total",
-                "corrupt or malformed profile-cache files/entries "
-                "discarded on load",
-            ).inc(n)
-
+    def _load(self) -> None:
         try:
-            with open(path, encoding="utf-8") as fh:
-                data = json.load(fh)
+            data = json.loads(self.path.read_text())
         except (OSError, ValueError):
-            skip()
-            return 0
-        if not isinstance(data, dict) or \
-                data.get("version") != self._FILE_VERSION:
-            skip()
-            return 0
-        loaded = skipped = 0
-        for entry in data.get("entries", ()):
-            if not isinstance(entry, dict):
+            _load_skip_counter().inc()
+            return
+        entries = data.get("entries") if isinstance(data, dict) else None
+        if not isinstance(entries, list) or \
+                data.get("version") != _FILE_VERSION:
+            _load_skip_counter().inc()
+            return
+        skipped = 0
+        for item in entries:
+            fields = item if isinstance(item, dict) else {}
+            fp, kind = fields.get("fingerprint"), fields.get("kind")
+            profile, order = fields.get("profile"), fields.get("order")
+            if not isinstance(fp, str) or kind not in _FILE_KINDS or \
+                    not _is_ints(profile) or not _is_ints(order):
                 skipped += 1
                 continue
-            fp = entry.get("fingerprint")
-            kind = entry.get("kind")
-            if not isinstance(fp, str) or kind not in ("profile",
-                                                       "schedule"):
-                skipped += 1
-                continue
-            if entry.get("none_exists"):
-                if kind != "schedule":
-                    skipped += 1
-                    continue
-                self._put((fp, kind), _NO_SCHEDULE)
-                loaded += 1
-                continue
-            value = entry.get("value")
-            if not isinstance(value, list):
-                skipped += 1
-                continue
-            if kind == "profile" and not all(
-                isinstance(x, int) and not isinstance(x, bool)
-                for x in value
-            ):
-                skipped += 1
-                continue
-            if kind == "schedule" and not all(
-                isinstance(x, (int, str)) for x in value
-            ):
-                skipped += 1
-                continue
-            self._put((fp, kind), tuple(value))
-            loaded += 1
+            self._put((fp, kind), (tuple(profile), tuple(order)),
+                      save=False)
         if skipped:
-            skip(skipped)
-        return loaded
+            _load_skip_counter().inc(skipped)
 
     # ------------------------------------------------------------------
     def max_profile(
@@ -272,11 +323,13 @@ class ProfileCache:
         stored.
         """
         key = (dag.fingerprint(), "profile")
-        cached = self._get(key)
-        if cached is not None:
-            return list(cached)
+        entry = self._lookup(key)
+        if entry is not None and len(entry[0]) == len(dag) + 1:
+            self._count("profile", "hit")
+            return list(entry[0])
+        self._count("profile", "miss")
         profile = max_eligibility_profile(dag, state_budget)
-        self._put(key, tuple(profile))
+        self._put(key, (tuple(profile), None))
         return profile
 
     def find_schedule(
@@ -287,44 +340,96 @@ class ProfileCache:
     ) -> Schedule | None:
         """``find_ic_optimal_schedule(dag, ...)``, memoized.
 
-        The cached value is the node *order* (plus the none-exists
+        The stored value is the node *order* (plus the none-exists
         fact); a hit rebuilds — and thereby re-validates — a
         :class:`Schedule` against the requesting dag instance.
         """
         from .optimality import find_ic_optimal_schedule
 
+        canonical = _canonical_nodes(dag)
+        if canonical is None:
+            self._count("schedule", "bypass")
+            return find_ic_optimal_schedule(dag, state_budget, name)
         key = (dag.fingerprint(), "schedule")
-        cached = self._get(key)
-        if cached is _NO_SCHEDULE:
-            return None
-        if cached is not None:
-            order: tuple[Node, ...] = cached  # type: ignore[assignment]
-            return Schedule(dag, order, name=name)
+        entry = self._lookup(key)
+        if entry is not None and len(entry[0]) == len(dag) + 1:
+            sched = _replay(dag, canonical, entry, name)
+            if sched is not _INVALID:
+                self._count("schedule", "hit")
+                return sched
+        self._count("schedule", "miss")
+        profile = self.max_profile(dag, state_budget)
         sched = find_ic_optimal_schedule(
-            dag,
-            state_budget,
-            name,
-            max_profile=self.max_profile(dag, state_budget),
+            dag, state_budget, name, max_profile=profile,
         )
-        self._put(key, _NO_SCHEDULE if sched is None else tuple(sched.order))
+        self._put(key, (tuple(profile), _encode(sched, canonical)))
         return sched
 
+    def certify_block(
+        self,
+        block: ComputationDag,
+        attached: Schedule | None = None,
+        state_budget: int = DEFAULT_STATE_BUDGET,
+    ) -> tuple[Schedule | None, str]:
+        """A composition block's IC-optimal schedule plus its
+        provenance source.
 
-#: process-wide default cache used by ``schedule_dag`` and the sim
-#: server unless a caller supplies (or disables) its own.
+        Returns ``(schedule, source)`` with ``source`` one of
+        ``"attached-verified"``, ``"cache-hit"`` or ``"searched"``
+        (blocks whose reprs collide are certified directly, never
+        ``"cache-hit"``).  ``schedule`` is ``None`` when the block
+        provably admits no IC-optimal schedule (a fact kept in memory
+        only).
+
+        ``attached`` is a *claimed* IC-optimal schedule (e.g. carried
+        by a family-built chain): it is returned only after its profile
+        matches the certified ceiling, so an invalid claim costs a
+        search instead of poisoning the composite certificate.
+        """
+        canonical = _canonical_nodes(block)
+        if canonical is None:
+            self._count("block", "bypass")
+            return _search_block(block, attached, state_budget)[:2]
+        key = (block.fingerprint(), "block")
+        entry = self._lookup(key)
+        if entry is not None and len(entry[0]) == len(block) + 1:
+            if attached is not None and attached.profile == list(entry[0]):
+                self._count("block", "hit")
+                return attached, "attached-verified"
+            sched = _replay(block, canonical, entry, f"lib({block.name})")
+            if sched is not _INVALID:
+                self._count("block", "hit")
+                return sched, "cache-hit"
+        self._count("block", "miss")
+        sched, source, profile = _search_block(block, attached, state_budget)
+        self._put(key, (tuple(profile), _encode(sched, canonical)))
+        return sched, source
+
+
+def _encode(sched: Schedule | None, canonical: list):
+    """``sched``'s order as indices into ``canonical`` (``None`` when
+    no IC-optimal schedule exists)."""
+    if sched is None:
+        return None
+    index = {v: i for i, v in enumerate(canonical)}
+    return tuple(index[v] for v in sched.order)
+
+
+#: the process-wide store used by ``schedule_dag``, ``certify`` and the
+#: sim server unless a caller supplies (or disables) its own.
 _GLOBAL_CACHE = ProfileCache()
 
 
 def global_profile_cache() -> ProfileCache:
-    """The process-wide default :class:`ProfileCache`."""
+    """The process-wide certificate store."""
     return _GLOBAL_CACHE
 
 
 def set_global_profile_cache(cache: ProfileCache) -> ProfileCache:
-    """Replace the process-wide default cache; returns the old one.
+    """Replace the process-wide store; returns the old one.
 
     Useful for isolating measurements (benchmarks install a fresh
-    cache so hit rates describe only their own workload).
+    store so hit rates describe only their own workload).
     """
     global _GLOBAL_CACHE
     old = _GLOBAL_CACHE

@@ -162,7 +162,6 @@ def schedule_dag(
     exhaustive_limit: int = 24,
     state_budget: int = 500_000,
     cache: ProfileCache | bool = True,
-    library=True,
 ) -> SchedulingResult:
     """Schedule ``target`` with the strongest available certificate.
 
@@ -194,16 +193,11 @@ def schedule_dag(
         Ideal-state cap for the exhaustive search; if exceeded the
         strategy falls back (anytime under a ``budget``, else greedy).
     cache:
-        ``True`` (default) memoizes exhaustive results in the
-        process-wide :func:`~repro.core.profile_cache
-        .global_profile_cache`; pass a :class:`ProfileCache` to use a
-        private one, or ``False`` to search from scratch.
-    library:
-        ``True`` (default) certifies composition blocks through the
-        process-wide :func:`~repro.core.certify.global_block_library`;
-        pass a :class:`~repro.core.certify.BlockCertificateLibrary`
-        (possibly disk-persisted) to use a private one, or ``False``
-        to certify blocks from scratch.
+        ``True`` (default) memoizes block certificates and exhaustive
+        results in the process-wide certificate store
+        (:func:`~repro.core.profile_cache.global_profile_cache`); pass
+        a :class:`ProfileCache` (possibly path-backed) to use a
+        private one, or ``False`` to search everything from scratch.
 
     Every request increments ``scheduler_requests_total`` (labeled by
     the certificate granted) in the process-wide metrics registry and
@@ -221,7 +215,6 @@ def schedule_dag(
             exhaustive_limit=exhaustive_limit,
             state_budget=state_budget,
             cache=cache,
-            library=library,
         )
         sp.set(certificate=result.certificate.value, kind=result.kind)
     global_registry().counter(

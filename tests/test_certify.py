@@ -13,13 +13,13 @@ import pytest
 
 from repro import api
 from repro.core import (
-    BlockCertificateLibrary,
     Certificate,
     ComputationDag,
+    ProfileCache,
     certify,
     max_eligibility_profile,
     schedule_dag,
-    set_global_block_library,
+    set_global_profile_cache,
 )
 from repro.exceptions import OptimalityError
 from repro.families import butterfly_net, diamond, dlt, mesh, paths, prefix, trees
@@ -36,12 +36,12 @@ def registry():
 
 
 @pytest.fixture
-def library():
-    """A fresh in-memory block library installed as the global."""
-    lib = BlockCertificateLibrary()
-    old = set_global_block_library(lib)
-    yield lib
-    set_global_block_library(old)
+def store():
+    """A fresh in-memory certificate store installed as the global."""
+    store = ProfileCache()
+    old = set_global_profile_cache(store)
+    yield store
+    set_global_profile_cache(old)
 
 
 # every recognized family, sized so the exhaustive reference stays fast
@@ -218,10 +218,10 @@ class TestAutoAfterBlockOverBudget:
     """A block whose lattice search passes ``state_budget`` inside
     decomposition means "did not decompose" under ``auto``: the ladder
     (exhaustive residual, anytime under a ``budget``, heuristic) still
-    runs.  ``library`` keeps cached blocks from short-cutting the
+    runs.  ``store`` keeps cached blocks from short-cutting the
     search."""
 
-    def test_anytime_bounds_bracket_true_loss(self, library):
+    def test_anytime_bounds_bracket_true_loss(self, store):
         dag = mesh.out_mesh_dag(6)
         res = api.schedule(dag, state_budget=20, budget=1000, cache=False)
         assert res.certificate == "anytime"
@@ -230,38 +230,37 @@ class TestAutoAfterBlockOverBudget:
         lo, hi = res.bounds
         assert 0 <= lo <= true_loss <= hi
 
-    def test_without_budget_heuristic(self, library):
+    def test_without_budget_heuristic(self, store):
         res = api.schedule(mesh.out_mesh_dag(6), state_budget=20,
                            cache=False)
         assert res.certificate == "heuristic"
         assert res.bounds is None
 
-    def test_compositional_still_raises(self, library):
+    def test_compositional_still_raises(self, store):
         with pytest.raises(OptimalityError, match="state budget"):
             api.schedule(mesh.out_mesh_dag(6), strategy="compositional",
                          state_budget=20, cache=False)
 
 
 class TestBlockLibrary:
-    def test_repeat_certification_hits(self, library):
+    def test_repeat_certification_hits(self, store):
         certify(mesh.out_mesh_chain(4))
-        misses = library.misses
+        misses = store.misses
         assert misses > 0
         certify(mesh.out_mesh_chain(4))
-        assert library.misses == misses  # no new searches
-        assert library.hits > 0
+        assert store.misses == misses  # no new searches
+        assert store.hits > 0
 
-    def test_lookup_metrics(self, registry, library):
+    def test_lookup_metrics(self, registry, store):
         certify(mesh.out_mesh_chain(3))
         certify(mesh.out_mesh_chain(3))
         assert registry.value(
             "certify_block_cache_lookups_total", result="miss") > 0
         assert registry.value(
             "certify_block_cache_lookups_total", result="hit") > 0
-        assert registry.value("certify_block_cache_size") == \
-            len(library)
+        assert registry.value("profile_cache_size") == len(store)
 
-    def test_attached_schedule_is_verified_not_trusted(self, library):
+    def test_attached_schedule_is_verified_not_trusted(self, store):
         # a chain carrying a *wrong* block schedule must still produce
         # a correct certificate (the claim is checked, then discarded)
         chain = mesh.out_mesh_chain(4)
@@ -272,54 +271,54 @@ class TestBlockLibrary:
     def test_corrupt_file_degrades_to_search(self, tmp_path):
         path = tmp_path / "lib.json"
         path.write_text("{definitely not json")
-        lib = BlockCertificateLibrary(path=path)
+        lib = ProfileCache(path=path)
         assert len(lib) == 0
-        res = certify(mesh.out_mesh_chain(3), library=lib)
+        res = certify(mesh.out_mesh_chain(3), cache=lib)
         assert res.ic_optimal
         # the file is healed by write-through
         data = json.loads(path.read_text())
-        assert data["version"] == 1
-        assert data["blocks"]
+        assert data["version"] == 2
+        assert {e["kind"] for e in data["entries"]} == {"block"}
 
     def test_tampered_entry_revalidated(self, tmp_path):
         path = tmp_path / "lib.json"
-        lib = BlockCertificateLibrary(path=path)
-        res = certify(mesh.out_mesh_chain(3), library=lib)
+        lib = ProfileCache(path=path)
+        res = certify(mesh.out_mesh_chain(3), cache=lib)
         assert res.ic_optimal
         data = json.loads(path.read_text())
         # corrupt every stored order: replay must fail, a fresh search
         # must take over, and the certificate must stay correct
-        for entry in data["blocks"].values():
+        for entry in data["entries"]:
             if entry["order"]:
                 entry["order"] = list(reversed(entry["order"]))
         path.write_text(json.dumps(data))
-        lib2 = BlockCertificateLibrary(path=path)
-        res2 = certify(mesh.out_mesh_chain(3), library=lib2)
+        lib2 = ProfileCache(path=path)
+        res2 = certify(mesh.out_mesh_chain(3), cache=lib2)
         assert res2.ic_optimal
         assert list(res2.schedule.profile) == \
             list(res.schedule.profile)
 
     def test_lru_bound(self):
-        lib = BlockCertificateLibrary(maxsize=2)
-        certify(mesh.out_mesh_chain(4), library=lib)
+        lib = ProfileCache(maxsize=2)
+        certify(mesh.out_mesh_chain(4), cache=lib)
         assert len(lib) <= 2
 
     def test_bad_maxsize(self):
         with pytest.raises(ValueError):
-            BlockCertificateLibrary(maxsize=0)
+            ProfileCache(maxsize=0)
 
     def test_cross_process_determinism(self, tmp_path):
-        """A persisted library makes block certification deterministic
+        """A path-backed store makes block certification deterministic
         across processes: the second process re-certifies entirely
-        from cache hits and reproduces the same schedule order."""
+        from store hits and reproduces the same schedule order."""
         path = tmp_path / "lib.json"
         script = textwrap.dedent("""
             import json, sys
-            from repro.core import BlockCertificateLibrary, certify
+            from repro.core import ProfileCache, certify
             from repro.families import mesh
 
-            lib = BlockCertificateLibrary(path=sys.argv[1])
-            res = certify(mesh.out_mesh_chain(4), library=lib)
+            lib = ProfileCache(path=sys.argv[1])
+            res = certify(mesh.out_mesh_chain(4), cache=lib)
             print(json.dumps({
                 "order": [repr(v) for v in res.schedule.order],
                 "profile": list(res.schedule.profile),
@@ -340,7 +339,7 @@ class TestBlockLibrary:
             runs.append(json.loads(out.stdout))
         first, second = runs
         assert first["misses"] > 0
-        assert second["misses"] == 0  # everything from the library
+        assert second["misses"] == 0  # everything from the store
         assert second["hits"] >= first["misses"]
         assert second["order"] == first["order"]
         assert second["profile"] == first["profile"]

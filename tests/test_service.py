@@ -154,14 +154,8 @@ class TestRequestPipeline:
         # a block search past state_budget inside decomposition falls
         # down auto's ladder to a stamped certificate; the pipeline
         # never sees an error, so nothing degrades
-        from repro.core import (
-            BlockCertificateLibrary,
-            ProfileCache,
-            set_global_block_library,
-            set_global_profile_cache,
-        )
+        from repro.core import ProfileCache, set_global_profile_cache
 
-        old_lib = set_global_block_library(BlockCertificateLibrary())
         old_cache = set_global_profile_cache(ProfileCache())
         pipe = RequestPipeline(config=PipelineConfig(
             workers=1, state_budget=20))
@@ -173,7 +167,6 @@ class TestRequestPipeline:
             assert registry.value("service_degraded_total") == 0
         finally:
             pipe.stop()
-            set_global_block_library(old_lib)
             set_global_profile_cache(old_cache)
 
     def test_degrades_to_heuristic_on_search_failure(
