@@ -33,7 +33,7 @@ import urllib.request
 import repro.api as api
 from repro.families.mesh import out_mesh_dag
 from repro.obs import MetricsRegistry, set_global_registry
-from repro.service import PipelineConfig, SchedulingService
+from repro.service import SchedulingService
 
 from _harness import OUT_DIR, write_report
 
@@ -118,10 +118,7 @@ def collect_record() -> dict:
     registry = MetricsRegistry()
     old_reg = set_global_registry(registry)
     try:
-        svc = SchedulingService(
-            pipeline_config=PipelineConfig(workers=SIM_THREADS)
-        )
-        with svc:
+        with SchedulingService() as svc:
             # -- submit N distinct dags ----------------------------
             wires = [api.dag_to_dict(out_mesh_dag(d))
                      for d in range(2, 2 + N_DAGS)]
@@ -167,10 +164,6 @@ def collect_record() -> dict:
             for w in workers:
                 w.join()
             t_load = time.perf_counter() - t_load0
-
-            batches = int(registry.value("service_batches_total"))
-            batched = int(
-                registry.value("service_batched_requests_total"))
             entries = len(svc.registry)
     finally:
         set_global_registry(old_reg)
@@ -192,10 +185,6 @@ def collect_record() -> dict:
             "cached_fraction": round(cached / N_DAGS, 6),
         },
         "registry": {"entries": entries},
-        "batching": {
-            "requests": batched,
-            "batches": batches,
-        },
         "submit": {
             "requests": N_DAGS,
             "p50_ms": round(
@@ -250,8 +239,7 @@ def test_service_bench(benchmark):
     registry = MetricsRegistry()
     old = set_global_registry(registry)
     try:
-        svc = SchedulingService(pipeline_config=PipelineConfig(workers=2))
-        with svc:
+        with SchedulingService() as svc:
             wire = api.dag_to_dict(out_mesh_dag(4))
             body = _post(svc.url + "/v1/dags", wire)
 

@@ -19,13 +19,13 @@ Quick start::
 Subpackages
 -----------
 ``repro.api``
-    The stable v1 facade: ``schedule()``, ``verify()``,
+    The stable facade: ``schedule()``, ``verify()``,
     ``simulate()``, ``compare()``, ``coarsen()`` with keyword-only
     options and frozen results — the import surface the CLI and the
     scheduling service use (see ``docs/API_MIGRATION.md``).
 ``repro.service``
     Scheduling-as-a-service: the sharded dag registry, the
-    coalescing/batching request pipeline, and the HTTP JSON API
+    admission/coalescing request pipeline, and the HTTP JSON API
     (see ``docs/SERVICE.md``).
 ``repro.core``
     Dags, execution/eligibility model, schedules, exhaustive

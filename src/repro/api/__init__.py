@@ -1,4 +1,4 @@
-"""``repro.api`` — the stable v1 facade.
+"""``repro.api`` — the stable facade (:data:`API_VERSION` 2).
 
 One import surface for everything the library *does*, with one calling
 convention: the target (a dag, a composition chain, or a pair of dags)
@@ -116,8 +116,9 @@ __all__ = [
     "verify",
 ]
 
-#: the facade's compatibility version; bumped only on breaking change.
-API_VERSION = 1
+#: the facade's compatibility version; bumped only on breaking change
+#: (``docs/API_MIGRATION.md`` lists each bump).
+API_VERSION = 2
 
 #: input-builder types re-exported lazily (PEP 562) from the
 #: simulation layer, so facade callers never import ``repro.sim``:
@@ -150,8 +151,6 @@ def schedule(
     budget: int | None = None,
     exhaustive_limit: int = 24,
     state_budget: int = 500_000,
-    parallel: bool = False,
-    workers: int | None = None,
     cache: ProfileCache | bool = True,
 ) -> ScheduleResult:
     """Schedule ``target`` with the strongest available certificate.
@@ -180,10 +179,6 @@ def schedule(
     state_budget:
         Ideal-state cap for the exhaustive search; exceeding it falls
         back (anytime under a ``budget``, else the stamped heuristic).
-    parallel / workers:
-        Accepted for v1 compatibility and ignored: the lattice search
-        always runs in-process (``docs/PERFORMANCE.md`` §1.4), and
-        these options never changed a result.
     cache:
         ``True`` (default) memoizes block certificates and whole-dag
         results in the process-wide certificate store; a
@@ -220,8 +215,6 @@ def verify(
     budget: int | None = None,
     exhaustive_limit: int = 24,
     state_budget: int = 500_000,
-    parallel: bool = False,
-    workers: int | None = None,
     cache: ProfileCache | bool = True,
 ) -> VerifyResult:
     """Schedule ``target``, then exhaustively check the result against
@@ -232,8 +225,7 @@ def verify(
     *measured* — ``ic_optimal`` is True exactly when the schedule's
     profile meets the ceiling at every step, independent of the
     certificate (an ``"anytime"`` or ``"heuristic"`` schedule can
-    still verify clean).  ``parallel``/``workers`` are accepted and
-    ignored, as in :func:`schedule`.
+    still verify clean).
     """
     sched = schedule(
         target,
@@ -286,8 +278,6 @@ def simulate(
     budget: int | None = None,
     exhaustive_limit: int = 24,
     state_budget: int = 500_000,
-    parallel: bool = False,
-    workers: int | None = None,
     cache: ProfileCache | bool = True,
 ) -> SimulateResult:
     """Run the IC server/client simulation on ``target``.
@@ -314,8 +304,7 @@ def simulate(
     (``"ideal"``, the default, is the free-communication model and
     leaves the run bit-for-bit identical to earlier releases); the
     remaining options tune the certification path of the default
-    regime (``parallel``/``workers`` are accepted and ignored, as in
-    :func:`schedule`).
+    regime.
     """
     from ..exceptions import SimulationError
     from ..sim.heuristics import make_policy
@@ -421,17 +410,13 @@ def compare(
     budget: int | None = None,
     exhaustive_limit: int = 24,
     state_budget: int = 500_000,
-    parallel: bool = False,
-    workers: int | None = None,
     cache: ProfileCache | bool = True,
 ) -> CompareResult:
     """Run every baseline policy — plus IC-OPT, scheduled through the
     certification path, unless ``include_ic_optimal=False`` — on
     identical clients, seeds, identical machine model (``machine=``,
     spec string or :class:`MachineSpec`), and (when given) an
-    identical chaos script, and tabulate the quality gap.
-    ``parallel``/``workers`` are accepted and ignored, as in
-    :func:`schedule`."""
+    identical chaos script, and tabulate the quality gap."""
     from ..sim.metrics import compare_policies
 
     spec = parse_machine(machine) if isinstance(machine, str) else machine

@@ -1,7 +1,7 @@
-"""Frozen result types of the :mod:`repro.api` v1 facade.
+"""Frozen result types of the :mod:`repro.api` facade.
 
 Every facade verb returns one of these immutable dataclasses.  They
-are the *stability contract* of the v1 API:
+are the *stability contract* of the API:
 
 * **frozen** — results are values; nothing downstream can mutate a
   certificate after the fact;

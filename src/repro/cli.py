@@ -409,8 +409,6 @@ def cmd_serve(args) -> int:
 
     cfg = PipelineConfig(
         max_inflight=args.max_inflight,
-        max_queue=args.max_queue,
-        workers=args.workers,
         exhaustive_limit=args.exhaustive_limit,
         state_budget=args.state_budget,
         strategy=args.strategy,
@@ -892,18 +890,10 @@ def make_parser() -> argparse.ArgumentParser:
         "(default: until interrupted)",
     )
     p.add_argument(
-        "--workers", type=int, default=4,
-        help="simulation worker threads (default %(default)s)",
-    )
-    p.add_argument(
         "--max-inflight", type=int, default=32,
-        help="concurrent scheduling requests admitted before "
-        "backpressure answers 429 (default %(default)s)",
-    )
-    p.add_argument(
-        "--max-queue", type=int, default=64,
-        help="queued simulation requests admitted before "
-        "backpressure answers 429 (default %(default)s)",
+        help="concurrent requests (submissions and simulations "
+        "together) admitted before backpressure answers 429 "
+        "(default %(default)s)",
     )
     p.add_argument(
         "--exhaustive-limit", type=int, default=24,

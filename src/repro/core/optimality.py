@@ -122,20 +122,24 @@ class SearchStats:
         )
 
 
-def _record_search(states: int, peak: int, seconds: float) -> None:
-    """Aggregate one completed profile search into the global registry.
+def _record_search(states: int, peak: int, seconds: float,
+                   completed: bool = True) -> None:
+    """Aggregate one profile search into the global registry.
 
     Called once per :func:`max_eligibility_profile` call (never per
     state), so the cost is a handful of locked increments — the
     disabled-path overhead gate in ``bench_observability.py`` covers
-    it.  The ``mode`` label keeps its one value, ``sequential``, so
-    dashboards and scrapes written against it keep matching.
+    it.  A search cut by its state budget counts its states, peak and
+    duration too, but not as a completed search.  The ``mode`` label
+    keeps its one value, ``sequential``, so dashboards and scrapes
+    written against it keep matching.
     """
     reg = global_registry()
-    reg.counter(
-        "search_profile_total",
-        "max-eligibility-profile searches completed", ("mode",),
-    ).labels("sequential").inc()
+    if completed:
+        reg.counter(
+            "search_profile_total",
+            "max-eligibility-profile searches completed", ("mode",),
+        ).labels("sequential").inc()
     reg.counter(
         "search_states_expanded_total",
         "distinct ideal states expanded by profile searches", ("mode",),
@@ -277,6 +281,9 @@ def max_eligibility_profile(
                 state_budget,
             )
             if not complete:
+                _record_search(states, peak,
+                               time.perf_counter() - t_start,
+                               completed=False)
                 raise OptimalityError(
                     f"ideal enumeration for dag {dag.name!r} exceeded "
                     f"state budget {state_budget}"

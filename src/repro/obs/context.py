@@ -18,12 +18,11 @@ causally touches:
 
 Propagation uses one :class:`contextvars.ContextVar` — the same
 mechanism the tracer uses for span nesting, so the ID is correct
-across threads and async tasks without caller bookkeeping.  One
-boundary needs an explicit hand-off, made by the layer that crosses
-it: the service pipeline captures the ID when a simulation request is
-queued and re-binds it in the worker thread
-(:mod:`repro.service.pipeline`).  Nothing a request touches runs in
-another process.
+across threads and async tasks without caller bookkeeping.  The
+service runs every request, simulations included, on the HTTP handler
+thread that bound the ID (:mod:`repro.service.pipeline`), so no
+boundary needs a hand-off.  Nothing a request touches runs in another
+process.
 
 The disabled-is-free contract holds trivially: code that never binds
 a request ID never pays more than a default :meth:`ContextVar.get`

@@ -249,7 +249,6 @@ def render_dashboard(stats: dict) -> str:
             ("registry shards", _fmt(reg.get("shards", 0))),
             ("certified", _fmt(reg.get("certified", 0))),
             ("largest shard", _fmt(reg.get("largest_shard", 0))),
-            ("workers", _fmt(pipe.get("workers", 0))),
             ("max inflight", _fmt(pipe.get("max_inflight", 0))),
             ("strategy", str(pipe.get("strategy", "?"))),
         ]

@@ -80,6 +80,7 @@ from .tracing import Tracer, global_tracer
 __all__ = [
     "HTTPServiceBase",
     "HardenedHandler",
+    "LISTEN_BACKLOG",
     "ObsServer",
     "PROM_CONTENT_TYPE",
     "RequestError",
@@ -102,6 +103,18 @@ MAX_PATH_LENGTH = 2048
 #: largest accepted JSON request body (bytes); bigger bodies are
 #: answered ``413`` without being read into memory.
 MAX_BODY_BYTES = 4 * 1024 * 1024
+
+#: listen backlog of every repro HTTP server.  The stdlib default of 5
+#: overflows when a few clients connect at once: Linux drops the SYN
+#: that finds the accept queue full, and the client resends it only
+#: after its 1 s initial retransmission timeout
+#: (``docs/PERFORMANCE.md`` §5.1).
+LISTEN_BACKLOG = 128
+
+
+class _ThreadingServer(ThreadingHTTPServer):
+    request_queue_size = LISTEN_BACKLOG
+    daemon_threads = True
 
 
 class RequestError(Exception):
@@ -411,8 +424,7 @@ class HTTPServiceBase:
         self.closing = False
         handler = type("_BoundHandler", (self.handler_class,),
                        {"svc": self, "timeout": self.request_timeout})
-        self._httpd = ThreadingHTTPServer((self.host, self._port), handler)
-        self._httpd.daemon_threads = True
+        self._httpd = _ThreadingServer((self.host, self._port), handler)
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
             kwargs={"poll_interval": 0.1},

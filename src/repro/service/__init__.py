@@ -8,10 +8,11 @@ long-lived, multi-client HTTP endpoint (see ``docs/SERVICE.md``):
     content-addressed store of submitted dags and their certified
     schedules (bounded by per-shard LRU spill).
 :mod:`repro.service.pipeline`
-    :class:`RequestPipeline` — bounded admission (backpressure →
-    429), single-flight coalescing of concurrent certification
-    requests per fingerprint, micro-batched simulation on a worker
-    pool, and graceful degradation to the heuristic schedule.
+    :class:`RequestPipeline` — one bounded admission count for
+    submissions and simulations (backpressure → 429), single-flight
+    coalescing of concurrent certification requests per fingerprint,
+    and graceful degradation to the heuristic schedule; every request
+    runs on the HTTP handler thread that received it.
 :mod:`repro.service.durability`
     :class:`DurabilityManager` — the opt-in durable core: a
     CRC32-checksummed write-ahead journal of registry events,

@@ -16,13 +16,12 @@ endpoint                    semantics
                             structure; ``429`` under backpressure
 ``GET /v1/schedules/{fp}``  the certified schedule for a registered
                             fingerprint
-``POST /v1/simulate``       run the simulator on a submitted dag
-                            (micro-batched onto the worker pool);
-                            ``429`` when the queue is full, ``504``
-                            when the batch window backs up past the
-                            request timeout
+``POST /v1/simulate``       run the simulator on a submitted dag, on
+                            the request's own thread; ``429`` under
+                            backpressure
 ``GET /healthz``            liveness
-``GET /readyz``             readiness (pipeline running)
+``GET /readyz``             readiness (``503`` while a journal
+                            replays or the service stops)
 ``GET /metrics``            Prometheus text format 0.0.4
 ``GET /stats``              JSON: metrics snapshot + ``service``
                             section (registry occupancy, pipeline
@@ -62,7 +61,6 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from concurrent.futures import TimeoutError as FutureTimeoutError
 
 from ..api import API_VERSION, MachineSpec, dag_from_dict, schedule_to_dict
 from ..exceptions import ReproError, SimulationError
@@ -105,7 +103,7 @@ __all__ = ["ENDPOINTS", "SchedulingService"]
 
 #: seconds a 429-rejected client should back off before retrying —
 #: sent as ``Retry-After`` on every backpressure response.  One
-#: second comfortably outlasts a batch window or a typical certify.
+#: second comfortably outlasts a typical certify or simulation.
 RETRY_AFTER_SECONDS = 1.0
 
 #: served endpoints (the 404 payload lists them).
@@ -149,7 +147,7 @@ class SchedulingService(HTTPServiceBase):
         The :class:`~repro.service.registry.DagRegistry` to serve
         from; default builds a fresh one.
     pipeline_config:
-        Admission / coalescing / batching knobs
+        Admission / coalescing / certification knobs
         (:class:`~repro.service.pipeline.PipelineConfig`).
     frames:
         When true (the default), ``start()`` enables the global
@@ -180,9 +178,9 @@ class SchedulingService(HTTPServiceBase):
         :class:`~repro.service.durability.DurabilityManager`;
         ignored without ``data_dir``.
 
-    ``start()`` spins up the request pipeline (collector thread +
-    worker pool) alongside the listener; ``stop()`` drains both.
-    Usable as a context manager, like every repro server.
+    Every request runs on the listener's handler thread that
+    received it; the pipeline owns no threads of its own.  Usable as
+    a context manager, like every repro server.
     """
 
     def __init__(
@@ -217,18 +215,13 @@ class SchedulingService(HTTPServiceBase):
     def start(self) -> "SchedulingService":
         if self.frames:
             global_frame_store().enable()
-        self.pipeline.start()
         if self.durability is not None:
             # come up NOT ready: the listener answers (503 on
             # /readyz, 200 on /healthz) while the journal replays,
             # so orchestrators see "alive, warming" — never a served
             # request against a half-recovered registry
             self.ready = False
-        try:
-            super().start()
-        except BaseException:
-            self.pipeline.stop()
-            raise
+        super().start()
         if self.durability is not None:
             self.recovery = self.durability.recover(self.registry)
             # replay done — journal future writes, open for traffic
@@ -238,7 +231,6 @@ class SchedulingService(HTTPServiceBase):
 
     def stop(self) -> None:
         super().stop()  # drain HTTP first so no new work arrives
-        self.pipeline.stop()
         if self.durability is not None:
             # every journaled write is already on disk; snapshot +
             # fsync so the next boot replays from a compact prefix
@@ -382,8 +374,8 @@ class SchedulingService(HTTPServiceBase):
                     400, f"option {key!r} must be {caster.__name__}"
                 ) from None
         if "machine" in kwargs:
-            # validate the spec at admission so a typo is a fast 400,
-            # not a queued simulation that fails later
+            # validate the spec before admission so a typo is a fast
+            # 400 that takes no admission slot
             try:
                 MachineSpec.parse(kwargs["machine"])
             except SimulationError as exc:
@@ -391,18 +383,7 @@ class SchedulingService(HTTPServiceBase):
                     400, f"invalid machine spec: {exc}"
                 ) from None
         try:
-            future = self.pipeline.submit_simulation(dag, **kwargs)
-        except RejectedError as exc:
-            raise RequestError(429, str(exc),
-                               retry_after=RETRY_AFTER_SECONDS) \
-                from None
-        try:
-            result = future.result(
-                timeout=self.pipeline.config.request_timeout
-            )
-        except FutureTimeoutError:
-            future.cancel()
-            raise RequestError(504, "simulation timed out") from None
+            result = self.pipeline.simulate(dag, **kwargs)
         except RejectedError as exc:
             raise RequestError(429, str(exc),
                                retry_after=RETRY_AFTER_SECONDS) \
@@ -471,10 +452,6 @@ class SchedulingService(HTTPServiceBase):
                     "registry": self.registry.stats(),
                     "pipeline": {
                         "max_inflight": cfg.max_inflight,
-                        "max_queue": cfg.max_queue,
-                        "workers": cfg.workers,
-                        "batch_max": cfg.batch_max,
-                        "batch_window": cfg.batch_window,
                         "exhaustive_limit": cfg.exhaustive_limit,
                         "state_budget": cfg.state_budget,
                         "strategy": cfg.strategy,

@@ -1,15 +1,17 @@
-"""The service request pipeline: admission, coalescing, batching.
+"""The service request pipeline: admission and coalescing.
 
 Between the HTTP layer and the :mod:`repro.api` facade sits one
 pipeline enforcing the serving disciplines the ROADMAP's
-heavy-traffic goal needs:
+heavy-traffic goal needs.  It owns no threads: every request runs on
+the HTTP handler thread that received it, as the paper's IC server
+hands out work the moment a client asks for it.
 
-* **bounded admission** — at most ``max_inflight`` scheduling
-  requests and ``max_queue`` queued simulation requests exist at any
-  moment; excess load is *rejected immediately* (the HTTP layer turns
-  that into ``429 Too Many Requests``) rather than queued without
-  bound, so latency stays bounded and memory per request cannot grow
-  with offered load (``service_rejected_total{reason}``);
+* **bounded admission** — at most ``max_inflight`` requests of both
+  routes, scheduling and simulation together, run at any moment;
+  excess load is *rejected immediately* (the HTTP layer turns that
+  into ``429 Too Many Requests``) rather than queued, so latency
+  stays bounded and memory per request cannot grow with offered
+  load (``service_rejected_total{reason}``);
 * **coalescing (single-flight)** — concurrent scheduling requests for
   the same dag fingerprint share *one* certification search: the
   first requester runs it, every concurrent duplicate parks on an
@@ -21,15 +23,9 @@ heavy-traffic goal needs:
   helps *after* a result is stored — under a thundering herd all
   first requests miss the cache simultaneously and would each run
   the exhaustive search without this;
-* **micro-batching** — simulation requests are drained from the
-  admission queue by a collector thread in small batches (up to
-  ``batch_max`` requests or ``batch_window`` seconds, whichever
-  first) and fanned onto a fixed worker pool, amortizing dispatch
-  and keeping worker threads hot
-  (``service_batches_total`` / ``service_batched_requests_total``);
 * **graceful degradation, stamped** — per ``docs/ROBUSTNESS.md`` and
   ``docs/CERTIFICATION.md``: when certification fails (state-budget
-  exhaustion, worker-pool loss, any unexpected error) the pipeline
+  exhaustion or any unexpected error) the pipeline
   retries through the facade with ``strategy="anytime"`` when the
   config carries a ``budget`` (certificate ``"anytime"`` with sound
   loss bounds), else ``strategy="heuristic"`` — never an unlabeled
@@ -50,20 +46,14 @@ heavy-traffic goal needs:
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .. import api
 from ..core.dag import ComputationDag
 from ..obs import global_registry, span
-from ..obs.context import (
-    current_request_id,
-    reset_request_id,
-    set_request_id,
-)
+from ..obs.context import current_request_id
 from ..obs.observatory import global_frame_store
 from .registry import DagEntry, DagRegistry
 
@@ -104,18 +94,11 @@ class RejectedError(Exception):
 class PipelineConfig:
     """Tuning knobs for one :class:`RequestPipeline`."""
 
-    #: concurrent scheduling requests admitted (searches + waiters)
+    #: concurrent requests admitted, scheduling (searches + coalesced
+    #: waiters) and simulation together
     max_inflight: int = 32
-    #: queued simulation requests admitted
-    max_queue: int = 64
-    #: simulation worker threads
-    workers: int = 4
-    #: micro-batch: max requests drained per batch
-    batch_max: int = 16
-    #: micro-batch: max seconds the collector waits to fill a batch
-    batch_window: float = 0.005
-    #: seconds a coalesced waiter / queued simulation may wait before
-    #: the request times out (the HTTP layer answers 504)
+    #: seconds a coalesced waiter may wait for the search it joined
+    #: before the request is rejected (the HTTP layer answers 429)
     request_timeout: float = 60.0
     #: scheduling options forwarded to :func:`repro.api.schedule`
     exhaustive_limit: int = 24
@@ -139,30 +122,12 @@ class _Flight:
         self.error: BaseException | None = None
 
 
-class _SimRequest:
-    """One queued simulation request awaiting its micro-batch.
-
-    Captures the originating request ID at enqueue time so the worker
-    thread — a different context — can re-bind it around the actual
-    simulation (frames, spans, and exemplars stay correlated), and
-    the enqueue timestamp so queue time is attributable.
-    """
-
-    __slots__ = ("dag", "kwargs", "future", "request_id", "enqueued_at")
-
-    def __init__(self, dag: ComputationDag, kwargs: dict) -> None:
-        self.dag = dag
-        self.kwargs = kwargs
-        self.future: Future = Future()
-        self.request_id = current_request_id()
-        self.enqueued_at = time.perf_counter()
-
-
 class RequestPipeline:
-    """Admission + coalescing + batching in front of the facade.
+    """Admission + coalescing in front of the facade.
 
     Thread-safe; one instance serves every HTTP handler thread of a
-    :class:`~repro.service.http.SchedulingService`.
+    :class:`~repro.service.http.SchedulingService`, each request on
+    its caller's thread.
     """
 
     def __init__(self, registry: DagRegistry | None = None,
@@ -172,12 +137,6 @@ class RequestPipeline:
         self._admission = threading.Semaphore(self.config.max_inflight)
         self._flights: dict[str, _Flight] = {}
         self._flights_lock = threading.Lock()
-        self._sim_queue: queue.Queue[_SimRequest | None] = queue.Queue(
-            maxsize=self.config.max_queue
-        )
-        self._pool: ThreadPoolExecutor | None = None
-        self._collector: threading.Thread | None = None
-        self._stopping = False
 
     # -- metrics -------------------------------------------------------
     @staticmethod
@@ -225,42 +184,17 @@ class RequestPipeline:
             "schedules served by coarse certificate kind", ("kind",),
         )
 
-    # -- lifecycle -----------------------------------------------------
-    def start(self) -> "RequestPipeline":
-        if self._pool is not None:
-            raise RuntimeError("pipeline already started")
-        self._stopping = False
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.config.workers,
-            thread_name_prefix="repro-service-worker",
-        )
-        self._collector = threading.Thread(
-            target=self._collect_batches,
-            name="repro-service-batcher",
-            daemon=True,
-        )
-        self._collector.start()
-        return self
-
-    def stop(self) -> None:
-        if self._pool is None:
-            return
-        self._stopping = True
-        self._sim_queue.put(None)  # wake the collector
-        self._collector.join(timeout=5.0)
-        self._pool.shutdown(wait=True)
-        self._pool = None
-        self._collector = None
-        # fail any requests stranded in the queue
-        while True:
-            try:
-                req = self._sim_queue.get_nowait()
-            except queue.Empty:
-                break
-            if req is not None:
-                req.future.set_exception(
-                    RejectedError("service shutting down")
-                )
+    # -- admission -----------------------------------------------------
+    def _admit(self, route: str, reason: str, message: str) -> float:
+        """Take one of the ``max_inflight`` slots without waiting, or
+        raise :class:`RejectedError` (counted under ``reason``).
+        Returns the start of the route's next phase; the caller
+        releases the slot."""
+        t0 = time.perf_counter()
+        if not self._admission.acquire(blocking=False):
+            self._m_rejected().labels(reason).inc()
+            raise RejectedError(message)
+        return _observe_phase(route, "admission", t0)
 
     # -- scheduling (single-flight) ------------------------------------
     def submit_dag(self, dag: ComputationDag) -> tuple[DagEntry, str]:
@@ -273,11 +207,8 @@ class RequestPipeline:
         (the search failed and the greedy fallback was served).
         Raises :class:`RejectedError` under backpressure.
         """
-        t0 = time.perf_counter()
-        if not self._admission.acquire(blocking=False):
-            self._m_rejected().labels("schedule_capacity").inc()
-            raise RejectedError("scheduling capacity exhausted")
-        t0 = _observe_phase("/v1/dags", "admission", t0)
+        t0 = self._admit("/v1/dags", "schedule_capacity",
+                         "scheduling capacity exhausted")
         try:
             entry = self.registry.put(dag)
             _observe_phase("/v1/dags", "registry", t0)
@@ -307,13 +238,10 @@ class RequestPipeline:
                 raise flight.error
             assert flight.entry is not None
             return flight.entry, "coalesced"
-        how = "search"
         try:
-            t0 = time.perf_counter()
             with span("service.schedule", fingerprint=fp,
                       dag=entry.dag.name):
                 how = self._certify(entry)
-            _observe_phase("/v1/dags", "certify", t0)
             flight.entry = entry
             return entry, how
         except BaseException as exc:
@@ -328,8 +256,10 @@ class RequestPipeline:
         """Run the certification through the facade, degrading to a
         *stamped* fallback on failure (docs/ROBUSTNESS.md): anytime
         with certified loss bounds when the config carries a
-        ``budget``, else the labeled heuristic."""
+        ``budget``, else the labeled heuristic.  Times the ``certify``
+        phase, then the ``journal`` phase of attaching the result."""
         cfg = self.config
+        t0 = time.perf_counter()
         self._m_searches().inc()
         try:
             result = api.schedule(
@@ -362,107 +292,32 @@ class RequestPipeline:
             )
         self._m_certificates().labels(result.kind).inc()
         entry.schedule = result
-        t_journal = time.perf_counter()
-        self.registry.attach_schedule(entry.fingerprint, result)
-        if self.registry.journal is not None:
-            _observe_phase("/v1/dags", "journal", t_journal)
         store = global_frame_store()
         if store.enabled:
             # attach the certified M(t) so subsequent frames carry the
             # achieved-vs-optimal comparison (observatory sparkline)
             store.set_profile(entry.dag, result.profile)
+        t0 = _observe_phase("/v1/dags", "certify", t0)
+        self.registry.attach_schedule(entry.fingerprint, result)
+        if self.registry.journal is not None:
+            _observe_phase("/v1/dags", "journal", t0)
         return how
 
-    # -- simulation (micro-batched) ------------------------------------
-    def submit_simulation(self, dag: ComputationDag,
-                          **kwargs) -> Future:
-        """Queue one simulation request; resolves to a
-        :class:`~repro.api.results.SimulateResult`.
+    # -- simulation ----------------------------------------------------
+    def simulate(self, dag: ComputationDag,
+                 **kwargs) -> api.SimulateResult:
+        """Run one simulation through :func:`repro.api.simulate` on the
+        calling thread.
 
-        Raises :class:`RejectedError` when the admission queue is
-        full (backpressure) or the pipeline is stopping.
+        Raises :class:`RejectedError` when the ``max_inflight`` slots
+        are taken (backpressure).
         """
-        if self._pool is None or self._stopping:
-            self._m_rejected().labels("not_running").inc()
-            raise RejectedError("pipeline not running")
-        t0 = time.perf_counter()
-        req = _SimRequest(dag, kwargs)
+        t0 = self._admit("/v1/simulate", "simulate_capacity",
+                         "simulation capacity exhausted")
         try:
-            self._sim_queue.put_nowait(req)
-        except queue.Full:
-            self._m_rejected().labels("simulate_capacity").inc()
-            raise RejectedError("simulation queue full") from None
-        _observe_phase("/v1/simulate", "admission", t0)
-        return req.future
-
-    def _collect_batches(self) -> None:
-        """Collector loop: drain the queue into micro-batches and fan
-        them onto the worker pool."""
-        m_batches = global_registry().counter(
-            "service_batches_total",
-            "simulation micro-batches dispatched to the worker pool",
-        )
-        m_batched = global_registry().counter(
-            "service_batched_requests_total",
-            "simulation requests dispatched inside micro-batches",
-        )
-        g_size = global_registry().gauge(
-            "service_batch_size_last",
-            "size of the most recent simulation micro-batch",
-        )
-        while True:
-            try:
-                first = self._sim_queue.get(timeout=0.5)
-            except queue.Empty:
-                if self._stopping:
-                    return
-                continue
-            if first is None:
-                return
-            batch = [first]
-            deadline = self.config.batch_window
-            while len(batch) < self.config.batch_max:
-                try:
-                    nxt = self._sim_queue.get(timeout=deadline)
-                except queue.Empty:
-                    break
-                if nxt is None:
-                    self._dispatch(batch)
-                    return
-                batch.append(nxt)
-            m_batches.inc()
-            m_batched.inc(len(batch))
-            g_size.set(len(batch))
-            self._dispatch(batch)
-
-    def _dispatch(self, batch: list[_SimRequest]) -> None:
-        pool = self._pool
-        if pool is None:
-            for req in batch:
-                req.future.set_exception(
-                    RejectedError("service shutting down")
-                )
-            return
-        for req in batch:
-            pool.submit(self._run_simulation, req)
-
-    @staticmethod
-    def _run_simulation(req: _SimRequest) -> None:
-        if not req.future.set_running_or_notify_cancel():
-            return
-        # the worker thread runs outside the HTTP handler's context —
-        # re-bind the originating request so the simulation's spans,
-        # frames, and exemplars stay correlated with it
-        token = set_request_id(req.request_id)
-        try:
-            t0 = time.perf_counter()
-            _m_phases().labels("/v1/simulate", "queue").observe(
-                t0 - req.enqueued_at, exemplar=req.request_id)
-            with span("service.simulate", dag=req.dag.name):
-                result = api.simulate(req.dag, **req.kwargs)
+            with span("service.simulate", dag=dag.name):
+                result = api.simulate(dag, **kwargs)
             _observe_phase("/v1/simulate", "simulate", t0)
-            req.future.set_result(result)
-        except BaseException as exc:
-            req.future.set_exception(exc)
+            return result
         finally:
-            reset_request_id(token)
+            self._admission.release()

@@ -281,22 +281,27 @@ class TestBlockLibrary:
         assert {e["kind"] for e in data["entries"]} == {"block"}
 
     def test_tampered_entry_revalidated(self, tmp_path):
+        # blocks certified with no attached schedule: a reload can
+        # answer them only by replaying the stored order
+        blocks = [rec.block for rec in mesh.out_mesh_chain(3).blocks]
         path = tmp_path / "lib.json"
         lib = ProfileCache(path=path)
-        res = certify(mesh.out_mesh_chain(3), cache=lib)
-        assert res.ic_optimal
+        first = [lib.certify_block(b) for b in blocks]
+        assert {source for _s, source in first} == {"searched"}
         data = json.loads(path.read_text())
         # corrupt every stored order: replay must fail, a fresh search
-        # must take over, and the certificate must stay correct
+        # must take over, and the certificates must stay the same
         for entry in data["entries"]:
             if entry["order"]:
                 entry["order"] = list(reversed(entry["order"]))
         path.write_text(json.dumps(data))
         lib2 = ProfileCache(path=path)
-        res2 = certify(mesh.out_mesh_chain(3), cache=lib2)
-        assert res2.ic_optimal
-        assert list(res2.schedule.profile) == \
-            list(res.schedule.profile)
+        again = [lib2.certify_block(b) for b in blocks]
+        assert lib2.misses == len(blocks) and lib2.hits == 0
+        assert [s.order for s, _src in again] == \
+            [s.order for s, _src in first]
+        assert [s.profile for s, _src in again] == \
+            [s.profile for s, _src in first]
 
     def test_lru_bound(self):
         lib = ProfileCache(maxsize=2)

@@ -586,11 +586,9 @@ def _post(url, payload, timeout=30):
 class TestServiceMachineOption:
     @pytest.fixture
     def service(self, registry):
-        from repro.service import PipelineConfig, SchedulingService
+        from repro.service import SchedulingService
 
-        svc = SchedulingService(
-            pipeline_config=PipelineConfig(workers=2))
-        with svc:
+        with SchedulingService() as svc:
             yield svc
 
     def test_simulate_with_machine(self, service):

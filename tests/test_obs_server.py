@@ -23,6 +23,7 @@ from repro.obs import (
     watch,
 )
 from repro.obs.server import PROM_CONTENT_TYPE
+from repro.service import SchedulingService
 
 
 @pytest.fixture
@@ -256,6 +257,30 @@ class TestHardening:
             finally:
                 loris.close()
 
+    @pytest.mark.parametrize("make", [
+        ObsServer, lambda: SchedulingService(frames=False),
+    ], ids=["obs", "service"])
+    def test_listen_backlog_holds_a_connect_burst(self, registry,
+                                                  tracer, make):
+        import socket
+
+        # with the accept loop stopped, every connect must complete in
+        # the kernel's accept queue; a SYN that overflows the listen
+        # backlog is dropped and resent only after 1 s
+        srv = make().start()
+        try:
+            srv._httpd.shutdown()  # the socket keeps listening
+            socks = []
+            try:
+                for _ in range(16):
+                    socks.append(socket.create_connection(
+                        ("127.0.0.1", srv.port), timeout=0.5))
+            finally:
+                for sock in socks:
+                    sock.close()
+        finally:
+            srv.stop()
+
     def test_oversized_request_path_is_414(self, server):
         status, _h, body = _get(server.url + "/" + "x" * 4000)
         assert status == 414
@@ -331,8 +356,7 @@ class TestDashboard:
                 "api_version": "v1",
                 "registry": {"entries": 7, "shards": 4,
                              "certified": 6, "largest_shard": 3},
-                "pipeline": {"workers": 2, "max_inflight": 16,
-                             "strategy": "auto"},
+                "pipeline": {"max_inflight": 16, "strategy": "auto"},
             },
         })
         assert "api version" in frame and "v1" in frame

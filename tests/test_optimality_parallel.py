@@ -8,8 +8,8 @@ each paper family at two sizes and on seeded random dags; the found
 schedules must attain the reference ceiling; and the budget cut is
 pinned by state counts read before the two searches were merged.
 
-The ``repro.api`` verbs still accept ``parallel=`` / ``workers=`` as
-v1 keywords that change nothing; the last tests pin that contract.
+The ``repro.api`` verbs no longer take ``parallel=`` / ``workers=``
+(API version 2); the last test pins that they raise ``TypeError``.
 """
 
 import random
@@ -196,61 +196,30 @@ def test_budget_cut_pinned(label):
     assert (stats.states_expanded, stats.frontier_peak) == full_pin
 
 
+def test_budget_cut_search_is_counted():
+    # a search cut by its state budget still reports the states it
+    # expanded before raising, though not as a completed search
+    from repro.families.mesh import out_mesh_dag
+
+    fresh = MetricsRegistry()
+    old = set_global_registry(fresh)
+    try:
+        with pytest.raises(OptimalityError, match="state budget"):
+            max_eligibility_profile(out_mesh_dag(6), 10)
+    finally:
+        set_global_registry(old)
+    assert fresh.value("search_states_expanded_total") > 10
+    assert fresh.value("search_frontier_peak") > 0
+    assert fresh.value("search_profile_total") == 0
+
+
 # ---------------------------------------------------------------------
-# parallel= / workers= on the repro.api verbs: accepted, never acting
+# parallel= on the repro.api verbs: removed in API version 2
 
 
-def test_parallel_is_deterministic_across_runs():
-    g, _ = block("C", 5)
-    runs = [api.schedule(g, parallel=True, workers=2, cache=False)
-            for _ in range(3)]
-    plain = api.schedule(g, cache=False)
-    assert {r.schedule.order for r in runs} == {plain.schedule.order}
-
-
-def test_parallel_stats_populated():
-    # the search records the same sequential-mode totals whatever the
-    # keywords say
-    g, _ = block("W", 4)
-    totals = []
-    for kw in ({}, {"parallel": True, "workers": 2}):
-        fresh = MetricsRegistry()
-        old = set_global_registry(fresh)
-        try:
-            api.verify(g, strategy="exhaustive", cache=False, **kw)
-        finally:
-            set_global_registry(old)
-        assert fresh.value("search_profile_total", mode="sequential") >= 1
-        totals.append((fresh.value("search_states_expanded_total"),
-                       SearchStats.from_registry(fresh)))
-    assert totals[0] == totals[1]
-    assert totals[0][1].states_expanded > 0
-
-
-def test_parallel_budget_still_enforced():
-    from repro.families.mesh import out_mesh_dag
-
-    with pytest.raises(OptimalityError, match="state budget"):
-        api.schedule(out_mesh_dag(10), strategy="exhaustive",
-                     state_budget=5, parallel=True, workers=2, cache=False)
-
-
-def test_schedule_dag_parallel_matches_sequential():
-    from repro.families.mesh import out_mesh_dag
-
-    dag = out_mesh_dag(4)
-    seq = api.schedule(dag, cache=False)
-    par = api.schedule(dag, cache=False, parallel=True, workers=2)
-    assert seq.certificate == par.certificate
-    assert seq.schedule.order == par.schedule.order
-
-
-def test_none_exists_agrees_in_parallel():
-    from tests.test_optimality import non_ic_optimal_dag
-
-    g = non_ic_optimal_dag()
-    assert find_ic_optimal_schedule(g) is None
-    for kw in ({}, {"parallel": True, "workers": 2}):
-        res = api.verify(g, strategy="exhaustive", cache=False, **kw)
-        assert res.certificate == "none-exists"
-        assert not res.ic_optimal
+@pytest.mark.parametrize("verb", ["schedule", "verify", "simulate",
+                                  "compare"])
+def test_parallel_keyword_rejected(verb):
+    g, _ = block("W", 2)
+    with pytest.raises(TypeError, match="parallel"):
+        getattr(api, verb)(g, parallel=True)

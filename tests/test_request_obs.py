@@ -7,11 +7,10 @@ The acceptance properties pinned here:
 
 * one request entering the HTTP layer gets exactly one ID, echoed on
   the response and stamped onto every span, frame, and exemplar it
-  causally touches — including work re-bound in pipeline worker
-  threads;
+  causally touches;
 * the per-phase histograms reconcile with the end-to-end request
-  histogram (phases are measured *inside* the request, so their sum
-  cannot exceed the request total by more than scheduling noise);
+  histogram (phases are measured *inside* the request and never
+  overlap, so their sum cannot exceed the request total);
 * a seeded certification fault produces exactly one HTTP-retrievable
   flight-recorder bundle carrying the triggering request ID.
 """
@@ -50,7 +49,7 @@ from repro.obs.slo import (
     evaluate,
     slo_payload,
 )
-from repro.service import PipelineConfig, SchedulingService
+from repro.service import SchedulingService
 
 
 @pytest.fixture
@@ -83,8 +82,7 @@ def recorder(tmp_path):
 
 @pytest.fixture
 def service(registry, recorder):
-    svc = SchedulingService(pipeline_config=PipelineConfig(workers=2))
-    with svc:
+    with SchedulingService() as svc:
         yield svc
 
 
@@ -241,8 +239,8 @@ class TestRequestIdHTTP:
         st, doc, _ = _request(
             service.url + f"/v1/dags/{sub['fingerprint']}/frame")
         assert st == 200
-        # the worker thread re-bound the queued request's ID before
-        # simulating, so the captured frames carry it
+        # the simulation ran on the thread that bound the request's
+        # ID, so the captured frames carry it
         assert doc["frame"]["request"] == "sim-rid-7"
 
     def test_traces_filtered_by_request_id(self, registry, tracer):
@@ -302,8 +300,36 @@ class TestPhaseAttribution:
             return {dict(k)["phase"] for k in phases}
 
         _wait_for(lambda: "serialize" in names())
-        assert {"admission", "queue", "simulate",
-                "serialize"} <= names()
+        assert {"admission", "simulate", "serialize"} <= names()
+        # simulations run on the request's own thread: no queue phase
+        assert "queue" not in names()
+
+    def test_certify_and_journal_phases_disjoint(
+            self, registry, recorder, tmp_path, monkeypatch):
+        # every journal append takes 50 ms: a certify phase that
+        # also timed the journaled attach would read >= 50 ms
+        from repro.service.durability import DurabilityManager
+
+        real_append = DurabilityManager._append
+
+        def slow_append(self, record):
+            time.sleep(0.05)
+            return real_append(self, record)
+
+        monkeypatch.setattr(DurabilityManager, "_append", slow_append)
+        with SchedulingService(data_dir=str(tmp_path / "data")) as svc:
+            st, sub, _ = _request(svc.url + "/v1/dags",
+                                  dag_to_dict(out_mesh_dag(4)))
+            assert st == 200 and sub["how"] == "search"
+            requests = _wait_for(lambda: self._sums(
+                registry, "service_request_seconds", "/v1/dags"))
+        phases = {
+            dict(k)["phase"]: v for k, v in self._sums(
+                registry, "service_phase_seconds", "/v1/dags").items()
+        }
+        assert phases["certify"] < 0.05
+        assert phases["journal"] >= 0.05
+        assert sum(phases.values()) <= sum(requests.values())
 
 
 # ----------------------------------------------------------------------
@@ -460,17 +486,14 @@ class TestFlightRecorder:
 
 class TestAccessLog:
     def test_off_by_default(self, registry, recorder):
-        svc = SchedulingService(
-            pipeline_config=PipelineConfig(workers=1))
+        svc = SchedulingService()
         svc.access_log_stream = io.StringIO()
         with svc:
             _request(svc.url + "/healthz")
         assert svc.access_log_stream.getvalue() == ""
 
     def test_structured_lines_when_enabled(self, registry, recorder):
-        svc = SchedulingService(
-            pipeline_config=PipelineConfig(workers=1),
-            access_log=True)
+        svc = SchedulingService(access_log=True)
         svc.access_log_stream = io.StringIO()
         with svc:
             _request(svc.url + "/v1/dags", dag_to_dict(out_mesh_dag(3)),

@@ -1,6 +1,5 @@
 """Tests for ``repro.service``: the sharded dag registry, the
-admission/coalescing/batching request pipeline, and the HTTP JSON
-service.
+admission/coalescing request pipeline, and the HTTP JSON service.
 
 The coalescing acceptance test pins the tentpole property with
 metrics: 8 concurrent HTTP submissions of one fingerprint perform
@@ -132,23 +131,19 @@ class TestDagRegistry:
 
 class TestRequestPipeline:
     def test_submit_certifies_and_caches(self, registry):
-        pipe = RequestPipeline(config=PipelineConfig(workers=1))
-        pipe.start()
-        try:
-            dag = out_mesh_dag(4)
-            entry, how = pipe.submit_dag(dag)
-            assert how == "search"
-            assert entry.schedule is not None
-            assert entry.schedule.certificate == "composition"
-            assert entry.schedule.kind == "composed"
-            _, again = pipe.submit_dag(out_mesh_dag(4))
-            assert again == "cached"
-            assert registry.value("service_searches_total") == 1
-            assert registry.value("service_schedule_cached_total") == 1
-            assert registry.value(
-                "service_certificates_total", kind="composed") == 1
-        finally:
-            pipe.stop()
+        pipe = RequestPipeline()
+        dag = out_mesh_dag(4)
+        entry, how = pipe.submit_dag(dag)
+        assert how == "search"
+        assert entry.schedule is not None
+        assert entry.schedule.certificate == "composition"
+        assert entry.schedule.kind == "composed"
+        _, again = pipe.submit_dag(out_mesh_dag(4))
+        assert again == "cached"
+        assert registry.value("service_searches_total") == 1
+        assert registry.value("service_schedule_cached_total") == 1
+        assert registry.value(
+            "service_certificates_total", kind="composed") == 1
 
     def test_block_over_state_budget_answers_search(self, registry):
         # a block search past state_budget inside decomposition falls
@@ -157,16 +152,13 @@ class TestRequestPipeline:
         from repro.core import ProfileCache, set_global_profile_cache
 
         old_cache = set_global_profile_cache(ProfileCache())
-        pipe = RequestPipeline(config=PipelineConfig(
-            workers=1, state_budget=20))
-        pipe.start()
+        pipe = RequestPipeline(config=PipelineConfig(state_budget=20))
         try:
             entry, how = pipe.submit_dag(out_mesh_dag(6))
             assert how == "search"
             assert entry.schedule.certificate == "heuristic"
             assert registry.value("service_degraded_total") == 0
         finally:
-            pipe.stop()
             set_global_profile_cache(old_cache)
 
     def test_degrades_to_heuristic_on_search_failure(
@@ -181,18 +173,14 @@ class TestRequestPipeline:
             return real_schedule(target, **kw)
 
         monkeypatch.setattr(api, "schedule", failing)
-        pipe = RequestPipeline(config=PipelineConfig(workers=1))
-        pipe.start()
-        try:
-            entry, how = pipe.submit_dag(out_mesh_dag(4))
-            assert how == "degraded"
-            assert entry.schedule.certificate == "heuristic"
-            assert entry.schedule.kind == "heuristic"
-            assert registry.value("service_degraded_total") == 1
-            assert registry.value(
-                "service_certificates_total", kind="heuristic") == 1
-        finally:
-            pipe.stop()
+        pipe = RequestPipeline()
+        entry, how = pipe.submit_dag(out_mesh_dag(4))
+        assert how == "degraded"
+        assert entry.schedule.certificate == "heuristic"
+        assert entry.schedule.kind == "heuristic"
+        assert registry.value("service_degraded_total") == 1
+        assert registry.value(
+            "service_certificates_total", kind="heuristic") == 1
 
     def test_degrades_to_bounded_anytime_with_budget(
             self, registry, monkeypatch):
@@ -204,73 +192,48 @@ class TestRequestPipeline:
             return real_schedule(target, **kw)
 
         monkeypatch.setattr(api, "schedule", failing)
-        pipe = RequestPipeline(config=PipelineConfig(
-            workers=1, budget=50))
-        pipe.start()
-        try:
-            entry, how = pipe.submit_dag(out_mesh_dag(4))
-            assert how == "degraded"
-            assert entry.schedule.certificate == "anytime"
-            assert entry.schedule.kind == "anytime"
-            assert entry.schedule.bounds is not None
-            lo, hi = entry.schedule.bounds
-            assert 0 <= lo <= hi
-        finally:
-            pipe.stop()
+        pipe = RequestPipeline(config=PipelineConfig(budget=50))
+        entry, how = pipe.submit_dag(out_mesh_dag(4))
+        assert how == "degraded"
+        assert entry.schedule.certificate == "anytime"
+        assert entry.schedule.kind == "anytime"
+        assert entry.schedule.bounds is not None
+        lo, hi = entry.schedule.bounds
+        assert 0 <= lo <= hi
 
-    def test_simulation_micro_batched(self, registry):
-        pipe = RequestPipeline(config=PipelineConfig(
-            workers=2, batch_max=4, batch_window=0.05))
-        pipe.start()
-        try:
-            futures = [
-                pipe.submit_simulation(out_mesh_dag(3), clients=2,
-                                       seed=s)
-                for s in range(4)
-            ]
-            results = [f.result(timeout=30) for f in futures]
-            assert all(r.completed == len(out_mesh_dag(3))
-                       for r in results)
-            assert registry.value(
-                "service_batched_requests_total") == 4
-            # 4 requests within one 50ms window on a fresh queue
-            # coalesce into few batches (exact split is timing-
-            # dependent; the invariant is batches <= requests)
-            assert 1 <= registry.value("service_batches_total") <= 4
-        finally:
-            pipe.stop()
+    def test_simulation_backpressure(self, registry, monkeypatch):
+        # max_inflight=1 with one simulation held open: the slot is
+        # taken, so every further simulation is rejected at once
+        started, release = threading.Event(), threading.Event()
+        real_simulate = api.simulate
 
-    def test_simulation_backpressure(self, registry):
-        # a 1-deep queue with a long batch window: the collector
-        # takes the first request and blocks filling its batch, the
-        # second sits in the queue, the rest must be rejected
-        pipe = RequestPipeline(config=PipelineConfig(
-            workers=1, max_queue=1, batch_max=16, batch_window=30.0))
-        pipe.start()
-        try:
-            rejected = 0
-            futures = []
-            for _ in range(8):
-                try:
-                    futures.append(
-                        pipe.submit_simulation(out_mesh_dag(3),
-                                               clients=2))
-                except RejectedError as exc:
-                    assert exc.reason == "simulation queue full"
-                    rejected += 1
-            assert rejected >= 6
-            assert registry.value(
-                "service_rejected_total",
-                reason="simulate_capacity") == rejected
-        finally:
-            pipe.stop()
+        def held(dag, **kw):
+            started.set()
+            assert release.wait(30)
+            return real_simulate(dag, **kw)
 
-    def test_submit_after_stop_rejected(self, registry):
-        pipe = RequestPipeline(config=PipelineConfig(workers=1))
-        pipe.start()
-        pipe.stop()
-        with pytest.raises(RejectedError):
-            pipe.submit_simulation(out_mesh_dag(3))
+        monkeypatch.setattr(api, "simulate", held)
+        pipe = RequestPipeline(config=PipelineConfig(max_inflight=1))
+        results = []
+        first = threading.Thread(target=lambda: results.append(
+            pipe.simulate(out_mesh_dag(3), clients=2)))
+        first.start()
+        assert started.wait(30)
+        try:
+            for _ in range(7):
+                with pytest.raises(RejectedError) as ei:
+                    pipe.simulate(out_mesh_dag(3), clients=2)
+                assert ei.value.reason == "simulation capacity exhausted"
+        finally:
+            release.set()
+            first.join(timeout=30)
+        assert not first.is_alive()
+        assert results[0].completed == len(out_mesh_dag(3))
+        assert registry.value(
+            "service_rejected_total", reason="simulate_capacity") == 7
+        # the slot is free again
+        assert pipe.simulate(out_mesh_dag(3), clients=2).completed \
+            == len(out_mesh_dag(3))
 
 
 # ----------------------------------------------------------------------
@@ -281,9 +244,7 @@ class TestRequestPipeline:
 class TestSchedulingServiceHTTP:
     @pytest.fixture
     def service(self, registry):
-        svc = SchedulingService(
-            pipeline_config=PipelineConfig(workers=2))
-        with svc:
+        with SchedulingService() as svc:
             yield svc
 
     def test_submit_and_fetch_schedule(self, service):
@@ -377,14 +338,17 @@ class TestSchedulingServiceHTTP:
         assert st == 200
         svc_block = stats["service"]
         assert svc_block["registry"]["entries"] == 1
-        assert svc_block["pipeline"]["workers"] == 2
+        assert svc_block["pipeline"] == {
+            "max_inflight": 32, "exhaustive_limit": 24,
+            "state_budget": 500_000, "strategy": "auto", "budget": None,
+        }
         assert stats["metrics"]["service_searches_total"]["value"] == 1
 
     def test_submit_429_carries_retry_after(self, registry):
         # max_inflight=0: admission rejects every submission, so the
         # backpressure path is deterministic (no racing threads)
         svc = SchedulingService(
-            pipeline_config=PipelineConfig(max_inflight=0, workers=1))
+            pipeline_config=PipelineConfig(max_inflight=0))
         with svc:
             req = urllib.request.Request(
                 svc.url + "/v1/dags",
@@ -403,10 +367,9 @@ class TestSchedulingServiceHTTP:
     def test_simulate_429_carries_retry_after(self, service,
                                               monkeypatch):
         def reject(dag, **kwargs):
-            raise RejectedError("simulation queue full")
+            raise RejectedError("simulation capacity exhausted")
 
-        monkeypatch.setattr(service.pipeline, "submit_simulation",
-                            reject)
+        monkeypatch.setattr(service.pipeline, "simulate", reject)
         req = urllib.request.Request(
             service.url + "/v1/simulate",
             data=json.dumps(
@@ -422,7 +385,6 @@ class TestSchedulingServiceHTTP:
     def test_schedule_spilled_entry_404(self, registry):
         svc = SchedulingService(
             registry=DagRegistry(shards=1, capacity_per_shard=1),
-            pipeline_config=PipelineConfig(workers=1),
         )
         with svc:
             st, first = _post(svc.url + "/v1/dags",
@@ -432,6 +394,81 @@ class TestSchedulingServiceHTTP:
                 svc.url + "/v1/schedules/" + first["fingerprint"])
             assert st == 404
             assert "spilled" in body["error"]
+
+
+class TestAdmissionCount:
+    """Acceptance: one ``max_inflight`` count bounds simulations and
+    submissions together, rejecting at once rather than queueing."""
+
+    def test_inflight_bounds_simulations_and_submits(
+            self, registry, monkeypatch):
+        release = threading.Event()
+        lock = threading.Lock()
+        running = peak = 0
+        real_simulate = api.simulate
+
+        def held(dag, **kw):
+            nonlocal running, peak
+            with lock:
+                running += 1
+                peak = max(peak, running)
+            try:
+                assert release.wait(30), "never released"
+                return real_simulate(dag, **kw)
+            finally:
+                with lock:
+                    running -= 1
+
+        def expect_429(url, payload):
+            req = urllib.request.Request(
+                url, data=json.dumps(payload).encode(),
+                headers={"Content-Type": "application/json"},
+            )
+            with pytest.raises(urllib.error.HTTPError) as ei:
+                urllib.request.urlopen(req, timeout=10)
+            assert ei.value.code == 429
+            assert float(ei.value.headers.get("Retry-After")) > 0
+            return json.loads(ei.value.read())
+
+        monkeypatch.setattr(api, "simulate", held)
+        sim = {"dag": dag_to_dict(out_mesh_dag(3)), "clients": 2}
+        svc = SchedulingService(
+            pipeline_config=PipelineConfig(max_inflight=2))
+        with svc:
+            statuses = []
+            threads = [
+                threading.Thread(target=lambda: statuses.append(
+                    _post(svc.url + "/v1/simulate", sim)[0]))
+                for _ in range(2)
+            ]
+            for t in threads:
+                t.start()
+            for _ in range(3000):
+                with lock:
+                    if running == 2:
+                        break
+                threading.Event().wait(0.01)
+            assert running == 2
+            # both slots are held: a 3rd simulate and a concurrent
+            # submit are turned away at once
+            body = expect_429(svc.url + "/v1/simulate", sim)
+            assert "capacity" in body["error"]
+            body = expect_429(svc.url + "/v1/dags",
+                              dag_to_dict(out_mesh_dag(4)))
+            assert "capacity" in body["error"]
+            release.set()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert statuses == [200, 200]
+            st, body = _post(svc.url + "/v1/simulate", sim)
+            assert st == 200
+            assert body["completed"] == len(out_mesh_dag(3))
+        assert peak == 2
+        assert registry.value(
+            "service_rejected_total", reason="simulate_capacity") == 1
+        assert registry.value(
+            "service_rejected_total", reason="schedule_capacity") == 1
 
 
 class TestCoalescing:
@@ -451,9 +488,7 @@ class TestCoalescing:
             return real_schedule(target, **kw)
 
         monkeypatch.setattr(api, "schedule", gated)
-        svc = SchedulingService(
-            pipeline_config=PipelineConfig(workers=2))
-        with svc:
+        with SchedulingService() as svc:
             wire = dag_to_dict(out_mesh_dag(4))
             results = []
             lock = threading.Lock()

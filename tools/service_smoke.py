@@ -57,7 +57,7 @@ def main() -> int:
     from repro import api
     from repro.families.mesh import out_mesh_chain
     from repro.obs import MetricsRegistry, set_global_registry
-    from repro.service import PipelineConfig, SchedulingService
+    from repro.service import SchedulingService
 
     checks = 0
 
@@ -71,9 +71,7 @@ def main() -> int:
     registry = MetricsRegistry()
     old = set_global_registry(registry)
     try:
-        svc = SchedulingService(
-            pipeline_config=PipelineConfig(workers=2))
-        with svc:
+        with SchedulingService() as svc:
             print(f"service listening on {svc.url}")
 
             status, body = _get(svc.url + "/healthz")
