@@ -49,9 +49,15 @@ Subpackages
     baselines (FIFO, LIFO, random, greedy, critical-path).
 ``repro.analysis``
     Eligibility-profile analytics and report rendering.
+
+``repro.api``, ``repro.service`` and ``repro.compute`` are imported
+lazily, on first attribute access: ``import repro`` loads neither the
+HTTP machinery nor numpy.  networkx is imported only by the
+:class:`~repro.core.dag.ComputationDag` interop methods and by the
+isomorphism check that recognizes bare butterfly and prefix dags.
 """
 
-from . import analysis, blocks, compute, core, families, granularity, sim
+from . import analysis, blocks, core, families, granularity, sim
 from .core import (
     CompositionChain,
     ComputationDag,
@@ -75,8 +81,9 @@ __version__ = "1.0.0"
 
 #: lazily imported subpackages (PEP 562): the facade and the service
 #: pull in simulation / HTTP machinery that library-only users (and
-#: the hot layers themselves) never need at import time.
-_LAZY_SUBPACKAGES = ("api", "service")
+#: the hot layers themselves) never need at import time, and
+#: ``compute`` pulls in numpy, which nothing outside it calls.
+_LAZY_SUBPACKAGES = ("api", "compute", "service")
 
 
 def __getattr__(name: str):

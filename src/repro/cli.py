@@ -95,7 +95,12 @@ def build_family(name: str, param: int | None):
         prefix,
         trees,
     )
-    from .compute.sorting import sorting_network_chain
+
+    def sorting():
+        # repro.compute imports numpy: load it only for this family
+        from .compute.sorting import sorting_network_chain
+
+        return sorting_network_chain(param)
 
     need_param = name != "matmul"
     if need_param and param is None:
@@ -112,7 +117,7 @@ def build_family(name: str, param: int | None):
         "out-tree": lambda: trees.complete_out_tree(param),
         "in-tree": lambda: trees.complete_in_tree(param),
         "paths": lambda: paths.graph_paths_chain(param),
-        "sorting": lambda: sorting_network_chain(param),
+        "sorting": sorting,
     }
     if name not in builders:
         raise SystemExit(

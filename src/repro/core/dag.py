@@ -16,8 +16,10 @@ library.  It is deliberately small and deterministic:
   :meth:`validate`.
 
 ``networkx`` is intentionally *not* the backing store; it is available
-through :meth:`to_networkx` / :meth:`from_networkx` for interop and for
-independent cross-checks in the test-suite.
+through :meth:`to_networkx` / :meth:`from_networkx` for interop, VF2
+recognition (:mod:`repro.core.recognition`) and independent
+cross-checks in the test-suite, and is imported only when one of those
+methods runs.
 """
 
 from __future__ import annotations
@@ -25,11 +27,12 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from collections.abc import Hashable, Iterable, Iterator, Mapping
-from typing import Callable
-
-import networkx as nx
+from typing import TYPE_CHECKING, Callable
 
 from ..exceptions import CycleError, DagStructureError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["Node", "Arc", "ComputationDag"]
 
@@ -444,10 +447,14 @@ class ComputationDag:
 
     def is_isomorphic_to(self, other: "ComputationDag") -> bool:
         """Digraph isomorphism test (delegates to networkx VF2)."""
+        import networkx as nx
+
         return nx.is_isomorphic(self.to_networkx(), other.to_networkx())
 
     def to_networkx(self) -> nx.DiGraph:
         """Export as a :class:`networkx.DiGraph` (labels preserved)."""
+        import networkx as nx
+
         g = nx.DiGraph(name=self.name)
         g.add_nodes_from(self._children)
         g.add_edges_from(self.arcs)

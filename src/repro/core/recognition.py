@@ -11,12 +11,11 @@ labels, ready for Theorem 2.1 — or ``None`` when no family matches.
 Trees and meshes are recognized structurally at any size; butterfly
 and parallel-prefix dags are matched via graph isomorphism against the
 canonical construction (sizes are prefiltered, so the check only runs
-when the node/arc counts already fit).
+when the node/arc counts already fit, and networkx is imported only
+then).
 """
 
 from __future__ import annotations
-
-import networkx as nx
 
 from .composition import CompositionChain
 from .dag import ComputationDag, Node
@@ -156,6 +155,8 @@ def _recognize_by_isomorphism(
         canonical.dag.arcs
     ):
         return None
+    import networkx as nx
+
     matcher = nx.algorithms.isomorphism.DiGraphMatcher(
         canonical.dag.to_networkx(), dag.to_networkx()
     )
