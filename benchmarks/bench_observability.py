@@ -33,9 +33,13 @@ pointer compare), and ``enabled`` (a live
 informational).  ``frames.disabled_pct`` is
 gated under the same 5% budget.
 
-All three paths are asserted to produce byte-identical profiles before
-any number is recorded.  Run standalone (``python
-benchmarks/bench_observability.py``) or under pytest-benchmark; the
+Each overhead ratio alternates its legs run by run and keeps the best
+of each, so a host slowdown lands on both legs alike instead of on
+whichever leg happened to run during it; the scraper is paused while
+the serving ratio's kernel leg runs.  All paths are asserted to
+produce byte-identical profiles before any number is recorded.  Run
+standalone (``python benchmarks/bench_observability.py``) or under
+pytest-benchmark; the
 fresh record lands in ``benchmarks/out/BENCH_observability.json`` and
 the committed baseline in ``benchmarks/BENCH_observability.json``.
 """
@@ -111,14 +115,22 @@ def _kernel_profile(dag, state_budget: int = BUDGET) -> list[int]:
     return profile
 
 
-def _best_of(repeats: int, fn):
-    best = float("inf")
-    result = None
+def _timed(fn):
+    t0 = time.perf_counter()
+    result = fn()
+    return time.perf_counter() - t0, result
+
+
+def _interleaved_best(repeats: int, *legs):
+    """Best-of time and last result of each leg, the legs run in turn
+    ``repeats`` times."""
+    best = [float("inf")] * len(legs)
+    results = [None] * len(legs)
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
+        for i, fn in enumerate(legs):
+            elapsed, results[i] = _timed(fn)
+            best[i] = min(best[i], elapsed)
+    return best, results
 
 
 def _time_primitive(fn, n: int = 20_000) -> float:
@@ -138,17 +150,20 @@ def collect_record() -> dict:
     old_reg = set_global_registry(MetricsRegistry())
     old_tracer = set_global_tracer(Tracer(capacity=1 << 18))
     try:
-        t_kernel, p_kernel = _best_of(
-            REPEATS, lambda: _kernel_profile(dag)
-        )
-        t_disabled, p_disabled = _best_of(
-            REPEATS, lambda: max_eligibility_profile(dag, BUDGET)
-        )
-        global_tracer().enable()
-        t_enabled, p_enabled = _best_of(
-            REPEATS, lambda: max_eligibility_profile(dag, BUDGET)
-        )
-        global_tracer().disable()
+        def traced():
+            global_tracer().enable()
+            try:
+                return max_eligibility_profile(dag, BUDGET)
+            finally:
+                global_tracer().disable()
+
+        (t_kernel, t_disabled, t_enabled), \
+            (p_kernel, p_disabled, p_enabled) = _interleaved_best(
+                REPEATS,
+                lambda: _kernel_profile(dag),
+                lambda: max_eligibility_profile(dag, BUDGET),
+                traced,
+            )
         assert p_disabled == p_kernel, "instrumented path diverged"
         assert p_enabled == p_kernel, "traced path diverged"
 
@@ -178,6 +193,13 @@ def collect_record() -> dict:
         scrape_n = 0
         scrape_lat = 0.0
         stop = threading.Event()
+        # the serving ratio's kernel leg runs with the scraper paused:
+        # it sets `paused`, then waits on `idle` for a scrape already
+        # under way; the scraper clears `idle` before it checks
+        # `paused`, so no scrape can start inside a kernel run
+        paused = threading.Event()
+        idle = threading.Event()
+        idle.set()
         with ObsServer() as srv:
             # warm the listener (thread + socket + first exposition)
             # outside the measured window.
@@ -188,22 +210,35 @@ def collect_record() -> dict:
             def _scrape_loop():
                 nonlocal scrape_n, scrape_lat
                 while not stop.is_set():
-                    t0 = time.perf_counter()
-                    with urlopen(srv.url + "/metrics", timeout=5) as resp:
-                        assert resp.status == 200
-                        assert resp.headers["Content-Type"] == (
-                            PROM_CONTENT_TYPE
-                        )
-                        resp.read()
-                    scrape_lat += time.perf_counter() - t0
-                    scrape_n += 1
+                    idle.clear()
+                    try:
+                        if not paused.is_set():
+                            t0 = time.perf_counter()
+                            with urlopen(srv.url + "/metrics",
+                                         timeout=5) as resp:
+                                assert resp.status == 200
+                                assert resp.headers["Content-Type"] == (
+                                    PROM_CONTENT_TYPE
+                                )
+                                resp.read()
+                            scrape_lat += time.perf_counter() - t0
+                            scrape_n += 1
+                    finally:
+                        idle.set()
                     stop.wait(0.05)
 
             scraper = threading.Thread(target=_scrape_loop, daemon=True)
             scraper.start()
-            t_serving, p_serving = _best_of(
-                REPEATS_SERVING, lambda: max_eligibility_profile(dag, BUDGET)
-            )
+            t_serving_kernel = t_serving = float("inf")
+            for _ in range(REPEATS_SERVING):
+                paused.set()
+                idle.wait(10)
+                elapsed, _p = _timed(lambda: _kernel_profile(dag))
+                paused.clear()
+                t_serving_kernel = min(t_serving_kernel, elapsed)
+                elapsed, p_serving = _timed(
+                    lambda: max_eligibility_profile(dag, BUDGET))
+                t_serving = min(t_serving, elapsed)
             stop.set()
             scraper.join(timeout=10)
         assert p_serving == p_kernel, "served path diverged"
@@ -221,30 +256,29 @@ def collect_record() -> dict:
         frames_dag = butterfly_dag(FRAMES_DIM)
         old_store = set_global_frame_store(FrameStore())
         try:
-            t_fr_ref, r_ref = _best_of(
-                REPEATS_FRAMES,
-                lambda: simulate_reference(
-                    frames_dag, make_policy("FIFO"),
-                    clients=FRAMES_CLIENTS,
-                ),
-            )
-            t_fr_disabled, r_dis = _best_of(
-                REPEATS_FRAMES,
-                lambda: simulate(
-                    frames_dag, make_policy("FIFO"),
-                    clients=FRAMES_CLIENTS,
-                ),
-            )
             store = global_frame_store()
-            store.enable()
-            t_fr_enabled, r_en = _best_of(
-                REPEATS_FRAMES,
-                lambda: simulate(
-                    frames_dag, make_policy("FIFO"),
-                    clients=FRAMES_CLIENTS,
-                ),
-            )
-            store.disable()
+
+            def live():
+                return simulate(frames_dag, make_policy("FIFO"),
+                                clients=FRAMES_CLIENTS)
+
+            def recording():
+                store.enable()
+                try:
+                    return live()
+                finally:
+                    store.disable()
+
+            (t_fr_ref, t_fr_disabled, t_fr_enabled), \
+                (r_ref, r_dis, r_en) = _interleaved_best(
+                    REPEATS_FRAMES,
+                    lambda: simulate_reference(
+                        frames_dag, make_policy("FIFO"),
+                        clients=FRAMES_CLIENTS,
+                    ),
+                    live,
+                    recording,
+                )
             assert r_ref.makespan == r_dis.makespan == r_en.makespan, (
                 "frame capture changed the simulation"
             )
@@ -272,7 +306,8 @@ def collect_record() -> dict:
 
     overhead_disabled = max(0.0, (t_disabled / t_kernel - 1.0) * 100.0)
     overhead_enabled = max(0.0, (t_enabled / t_kernel - 1.0) * 100.0)
-    overhead_serving = max(0.0, (t_serving / t_kernel - 1.0) * 100.0)
+    overhead_serving = max(
+        0.0, (t_serving / t_serving_kernel - 1.0) * 100.0)
     fr_disabled_pct = max(0.0, (t_fr_disabled / t_fr_ref - 1.0) * 100.0)
     fr_enabled_pct = max(0.0, (t_fr_enabled / t_fr_ref - 1.0) * 100.0)
     return {
@@ -286,6 +321,7 @@ def collect_record() -> dict:
             "disabled_s": round(t_disabled, 6),
             "enabled_s": round(t_enabled, 6),
             "serving_s": round(t_serving, 6),
+            "serving_kernel_s": round(t_serving_kernel, 6),
         },
         "overhead": {
             "disabled_pct": round(overhead_disabled, 3),

@@ -703,9 +703,9 @@ def _observe_local_snapshot(args) -> int:
     finally:
         store.enabled = was_enabled
     ch = store.get(chain.dag.fingerprint())
-    if ch is None or not ch.frames:
+    frames = ch.frames if ch is not None else []
+    if not frames:
         raise SystemExit("simulation recorded no frames")
-    frames = list(ch.frames)
     achieved = [len(f.eligible) for f in frames]
     # the widest frontier is the frame worth looking at
     pick = max(frames, key=lambda f: len(f.eligible))

@@ -159,14 +159,37 @@ def graph_payload(dag) -> dict:
     }
 
 
+class _Record(NamedTuple):
+    """What :meth:`FrameStore.record` keeps per frame: the fields of a
+    :class:`ScheduleFrame` minus the sorted partition, which
+    :meth:`FrameChannel._build` derives when the frame is read."""
+
+    seq: int
+    step: int
+    t: float
+    #: the run's append-only completion-order list; this frame's
+    #: executed tasks are its first ``n_executed`` entries
+    done_order: list
+    n_executed: int
+    #: dag nodes, unsorted, possibly repeated
+    eligible: tuple
+    occupancy: tuple
+    optimal: int | None
+    events: tuple
+    done: bool
+    request: str | None
+
+
 class FrameChannel:
     """The frame ring buffer of one dag (keyed by fingerprint).
 
     Not thread-safe on its own — every mutation goes through the
-    owning :class:`FrameStore`'s lock.
+    owning :class:`FrameStore`'s lock.  It retains per-frame records,
+    not frames: the sorted executed/eligible/blocked partition is
+    built only when a frame is read.
     """
 
-    __slots__ = ("fingerprint", "name", "graph", "names", "frames",
+    __slots__ = ("fingerprint", "name", "graph", "names", "_records",
                  "seq", "dropped", "profile", "clients", "policy")
 
     def __init__(self, fingerprint: str, dag,
@@ -174,9 +197,9 @@ class FrameChannel:
         self.fingerprint = fingerprint
         self.name = dag.name
         self.graph = graph_payload(dag)
-        #: node -> wire label, so capture never re-stringifies
+        #: node -> wire label, so reads never re-stringify
         self.names = {v: str(v) for v in dag.nodes}
-        self.frames: deque[ScheduleFrame] = deque(maxlen=capacity)
+        self._records: deque[_Record] = deque(maxlen=capacity)
         #: last assigned per-channel seq (frames carry 1..seq)
         self.seq = 0
         #: frames pushed out of the ring
@@ -186,33 +209,60 @@ class FrameChannel:
         self.clients = 0
         self.policy = ""
 
+    def _build(self, rec: _Record) -> ScheduleFrame:
+        """The wire frame of one record (see :meth:`FrameStore.record`
+        for why the executed prefix is exact under a running
+        simulation)."""
+        names = self.names
+        executed = sorted(
+            {names[v] for v in rec.done_order[:rec.n_executed]})
+        eligible = sorted({names[v] for v in rec.eligible})
+        taken = set(executed)
+        taken.update(eligible)
+        return ScheduleFrame(
+            seq=rec.seq,
+            step=rec.step,
+            t=rec.t,
+            executed=tuple(executed),
+            eligible=tuple(eligible),
+            blocked=tuple(sorted(
+                w for w in names.values() if w not in taken)),
+            occupancy=tuple(
+                None if v is None else names[v] if v in names else str(v)
+                for v in rec.occupancy
+            ),
+            optimal=rec.optimal,
+            events=rec.events,
+            done=rec.done,
+            request=rec.request,
+        )
+
     # -- reads (call with the store lock held) -------------------------
+    @property
+    def frames(self) -> list[ScheduleFrame]:
+        """Every retained frame, oldest first."""
+        return self.since(0)
+
     def latest(self) -> ScheduleFrame | None:
-        return self.frames[-1] if self.frames else None
+        return self._build(self._records[-1]) if self._records else None
 
     def since(self, seq: int) -> list[ScheduleFrame]:
         """Frames with ``frame.seq > seq`` (oldest first).  A cursor
         older than the ring's tail simply returns every retained frame
         — the skipped span is visible as ``dropped``/seq gaps."""
-        if not self.frames or seq >= self.seq:
-            return []
-        oldest = self.frames[0].seq
-        if seq < oldest:
-            return list(self.frames)
-        # frames are contiguous in seq: index straight in
-        return [f for f in self.frames if f.seq > seq]
+        return [self._build(r) for r in self._records if r.seq > seq]
 
     def describe(self) -> dict:
-        last = self.latest()
+        records = self._records
         return {
             "name": self.name,
             "n": self.graph["n"],
             "latest": self.seq,
-            "retained": len(self.frames),
+            "retained": len(records),
             "dropped": self.dropped,
             "clients": self.clients,
             "policy": self.policy,
-            "done": bool(last.done) if last is not None else False,
+            "done": bool(records[-1].done) if records else False,
             "has_profile": self.profile is not None,
         }
 
@@ -250,6 +300,9 @@ class FrameStore:
         self._cond = threading.Condition(self._lock)
         #: global frame seq across every channel — the events cursor
         self._seq = 0
+        #: ``obs_frames_captured_total``, resolved by :meth:`channel`
+        #: (once per run), not by every :meth:`record`
+        self._frames_total = None
 
     # -- lifecycle -----------------------------------------------------
     def enable(self) -> None:
@@ -284,6 +337,7 @@ class FrameStore:
             if policy:
                 ch.policy = policy
             self._m_channels().set(len(self._channels))
+            self._frames_total = self._m_frames()
             return ch
 
     def record(
@@ -292,7 +346,7 @@ class FrameStore:
         *,
         step: int,
         t: float,
-        executed,
+        executed: list,
         eligible,
         occupancy,
         events: tuple[dict, ...] = (),
@@ -300,52 +354,40 @@ class FrameStore:
     ) -> int:
         """Append one frame to ``channel``; returns its seq.
 
-        ``executed`` / ``eligible`` are iterables of dag nodes (not
-        yet stringified); ``blocked`` is derived — the three sets
-        partition the dag.  Wakes every ``/v1/events`` waiter.
+        ``executed`` is the run's completion-order list of dag nodes;
+        the frame keeps the list and its current length, not a copy.
+        The caller may keep appending to it but must never remove or
+        reorder an entry: a reader slices the prefix while the
+        simulation may still be appending, which is exact only
+        because a list slice is atomic against a concurrent append.
+        ``eligible`` and ``occupancy`` are iterables of dag nodes
+        (``None`` = idle client), kept unsorted.  The sorted wire
+        partition (``blocked`` is what is in neither set) is built
+        when the frame is read (:meth:`FrameChannel._build`), so a
+        frame costs O(frontier + clients) here.  Wakes every
+        ``/v1/events`` waiter.
         """
-        names = channel.names
-        executed_w = sorted({names[v] for v in executed})
-        eligible_w = sorted({names[v] for v in eligible})
-        taken = set(executed_w)
-        taken.update(eligible_w)
-        blocked_w = sorted(
-            w for w in names.values() if w not in taken
-        )
-        occupancy_w: list[str | None] = []
-        for v in occupancy:
-            if v is None:
-                occupancy_w.append(None)
-            else:
-                w = names.get(v)
-                occupancy_w.append(w if w is not None else str(v))
+        eligible = tuple(eligible)
+        occupancy = tuple(occupancy)
+        n_executed = len(executed)
+        request = current_request_id()
         with self._cond:
             channel.seq += 1
             self._seq += 1
             profile = channel.profile
-            t_exec = len(executed_w)
             optimal = (
-                profile[t_exec] if profile is not None
-                and t_exec < len(profile) else
+                profile[n_executed] if profile is not None
+                and n_executed < len(profile) else
                 (profile[-1] if profile else None)
             )
-            if len(channel.frames) == channel.frames.maxlen:
+            if len(channel._records) == channel._records.maxlen:
                 channel.dropped += 1
-            channel.frames.append(ScheduleFrame(
-                seq=channel.seq,
-                step=step,
-                t=t,
-                executed=tuple(executed_w),
-                eligible=tuple(eligible_w),
-                blocked=tuple(blocked_w),
-                occupancy=tuple(occupancy_w),
-                optimal=optimal,
-                events=tuple(events),
-                done=done,
-                request=current_request_id(),
+            channel._records.append(_Record(
+                channel.seq, step, t, executed, n_executed, eligible,
+                occupancy, optimal, tuple(events), done, request,
             ))
             self._channels.move_to_end(channel.fingerprint)
-            self._m_frames().inc()
+            self._frames_total.inc()
             self._cond.notify_all()
             return channel.seq
 
@@ -390,10 +432,10 @@ class FrameStore:
         keyed by fingerprint — the flight recorder's frame capture."""
         with self._lock:
             return {
-                fp: [f.to_payload()
-                     for f in list(ch.frames)[-per_channel:]]
+                fp: [ch._build(r).to_payload()
+                     for r in list(ch._records)[-per_channel:]]
                 for fp, ch in self._channels.items()
-                if ch.frames
+                if ch._records
             }
 
     def wait(self, since: int, timeout: float) -> int:

@@ -300,7 +300,7 @@ class _Kernel:
         "m_alloc", "m_done", "m_lost", "m_starve", "m_steps",
         "g_allocatable", "g_eligible", "g_completed",
         "total", "children", "indegree", "pending_parents", "allocatable",
-        "done", "in_flight", "backing_off",
+        "done", "done_order", "in_flight", "backing_off",
         "current", "idle", "idle_since", "busy_time", "idle_time",
         "starvation", "lost_allocations", "wasted_work", "headroom",
         "trace", "fault_report", "events", "_tb", "handlers",
@@ -377,6 +377,9 @@ class _Kernel:
             v for v, k in self.indegree.items() if k == 0
         ]
         self.done: set[Node] = set()
+        #: ``done`` in completion order, append-only (a task never
+        #: leaves ``done``): each frame keeps this list and its length
+        self.done_order: list[Node] = []
         #: task -> its live attempts in launch order: what the server
         #: believes is in flight
         self.in_flight: dict[Node, list[_Attempt]] = {}
@@ -523,6 +526,7 @@ class _Kernel:
             if release is not None:
                 self._push(release, "release", None)
         self.done.add(task)
+        self.done_order.append(task)
         self.m_done.inc()
         if self.tracer.enabled:
             self.tracer.event("sim.complete", client=cid, task=str(task),
@@ -582,8 +586,8 @@ class _Kernel:
             self.channel,
             step=self.frame_step,
             t=now,
-            executed=self.done,
-            eligible=[*allocatable, *in_flight, *self.backing_off],
+            executed=self.done_order,
+            eligible=(*allocatable, *in_flight, *self.backing_off),
             occupancy=[att.task if att is not None else None
                        for att in self.current],
             events=tuple(self.frame_events),

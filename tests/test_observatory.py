@@ -5,6 +5,9 @@ servers, the SSE events stream, and the SVG frame renderer.
 """
 
 import json
+import os
+import subprocess
+import sys
 import urllib.error
 import urllib.request
 
@@ -336,6 +339,22 @@ class TestRenderFrameSvg:
         svg = render_frame_svg(graph_payload(mesh), None)
         assert svg.startswith("<svg")
         assert svg.count("<circle") >= len(mesh)
+
+    def test_observe_snapshot_reproduces_committed_svg(self, tmp_path):
+        """``repro observe --snapshot`` in a fresh interpreter writes
+        ``docs/observatory.svg`` byte for byte."""
+        root = os.path.join(os.path.dirname(__file__), "..")
+        out = tmp_path / "observatory.svg"
+        subprocess.run(
+            [sys.executable, "-m", "repro", "observe", "--snapshot",
+             str(out), "--family", "mesh", "--param", "4",
+             "--clients", "3"],
+            env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+            capture_output=True, check=True, timeout=120,
+        )
+        with open(os.path.join(root, "docs", "observatory.svg"),
+                  "rb") as fh:
+            assert out.read_bytes() == fh.read()
 
 
 class TestServiceKnob:

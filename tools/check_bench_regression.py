@@ -11,7 +11,8 @@ observability layer's disabled-path and serving-path (concurrently
 scraped ``/metrics``) overheads are gated against the recorded
 absolute limit (5%) as well — and, on schema-3 records, the
 simulator's schedule-frame-capture disabled path against the same
-budget.  When a fresh ``BENCH_faults.json``
+budget and its frame count exactly against the committed record.
+When a fresh ``BENCH_faults.json``
 (written by ``benchmarks/bench_faults.py``) is present, the
 fault-tolerance layer is gated too: the faults-disabled dispatch
 overhead against its absolute 5% budget, and the deterministic canned
@@ -153,7 +154,8 @@ def compare(baseline: dict, fresh: dict, threshold: float,
     return failures
 
 
-def compare_observability(fresh: dict) -> list[str]:
+def compare_observability(fresh: dict,
+                          baseline: dict | None) -> list[str]:
     """Gate the observability record (empty list = pass).
 
     The disabled-path overhead is a *budget*, not a relative metric:
@@ -162,6 +164,9 @@ def compare_observability(fresh: dict) -> list[str]:
     above it fails regardless of what the baseline measured — timing
     percentages are too noisy for relative thresholds, but the
     always-on instrumentation cost must never exceed its budget.
+    The frame count of the capture scenario is deterministic (one
+    frame per simulation step), so it must equal the baseline's
+    exactly: a dropped or doubled frame changes it.
     """
     failures: list[str] = []
     overhead = fresh.get("overhead", {})
@@ -200,9 +205,16 @@ def compare_observability(fresh: dict) -> list[str]:
                 f"frames.disabled_pct: {fr_pct}% breaches the "
                 f"{fr_limit}% frame-capture budget"
             )
-        if not frames.get("captured"):
+        captured = frames.get("captured")
+        expected = (baseline or {}).get("frames", {}).get("captured")
+        if not captured:
             failures.append(
                 "frames scenario captured no frames while enabled"
+            )
+        elif expected is not None and captured != expected:
+            failures.append(
+                f"frames.captured: {captured} != baseline {expected} "
+                "(deterministic frame count drifted)"
             )
     return failures
 
@@ -579,7 +591,10 @@ def main(argv=None) -> int:
     obs_fresh_path = args.obs_fresh
     if obs_fresh_path.exists():
         obs_fresh = _load(obs_fresh_path)
-        failures.extend(compare_observability(obs_fresh))
+        obs_baseline = (
+            _load(OBS_BASELINE) if OBS_BASELINE.exists() else None
+        )
+        failures.extend(compare_observability(obs_fresh, obs_baseline))
         obs_note = (
             f"obs disabled-path overhead "
             f"{obs_fresh['overhead']['disabled_pct']}%, serving "
